@@ -5,7 +5,7 @@ worst case for per-epoch Python overhead, and the cadence the ROADMAP's
 "thousands of islands" item targets) is timed three ways:
 
 * the legacy epoch loop (``IslandGA.run_epoch_loop``, the pre-archipelago
-  ``processes=1`` default): one fresh ``BatchBehavioralGA`` — parameter
+  in-process path): one fresh ``BatchBehavioralGA`` — parameter
   list, stream bank, slot tables — constructed per epoch, plus a
   per-island Python migration loop;
 * the vectorized archipelago (``VectorIslandGA``, exact mode): one

@@ -38,21 +38,9 @@ def main() -> None:
             params, fn, n_islands=n_islands, migration_interval=8
         ).run()
         dt = time.perf_counter() - t0
-        print(f"{n_islands} islands (sequential) : best {res.best_fitness:>5}, "
+        print(f"{n_islands} islands               : best {res.best_fitness:>5}, "
               f"evals {res.evaluations:>5}, migrations {res.migrations:>2}, "
               f"island bests {res.island_bests}, {dt * 1e3:.0f} ms")
-
-    print("\nprocess-pool execution (same results, wall-clock scaling):")
-    for procs in (1, 2, 4):
-        ga = IslandGA(params, fn, n_islands=4, migration_interval=8,
-                      processes=procs)
-        t0 = time.perf_counter()
-        res = ga.run()
-        dt = time.perf_counter() - t0
-        print(f"processes={procs}: best {res.best_fitness:>5} in {dt * 1e3:6.0f} ms")
-    print("\n(for these small populations process startup dominates; the")
-    print(" pool pays off when fitness evaluation is expensive, e.g. real")
-    print(" EHW measurement loops)")
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 The related-work section cites pipelined/parallel hardware GA architectures
 [11]-[13]; the natural multi-core analogue of "several GA cores on one
 fabric" is the island model: independent GA engines with periodic best-
-individual migration.  :mod:`repro.parallel.islands` implements it over
-``multiprocessing`` (no external dependencies), with a deterministic
-single-process mode for tests.
+individual migration.  :mod:`repro.parallel.archipelago` runs the whole
+archipelago as one batched slab; :mod:`repro.parallel.islands` keeps the
+``IslandGA`` front end and its per-epoch reference loop.
 """
 
 from repro.parallel.archipelago import (

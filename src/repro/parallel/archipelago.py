@@ -1,9 +1,8 @@
 """Vectorized archipelago: the whole island model as one batched slab.
 
-The legacy island loop (:mod:`repro.parallel.islands`) treats each island
-as a unit of Python work — one engine construction per island per epoch in
-batched mode, pickled round-trips per epoch in pooled mode.  This module
-maps the archipelago onto a *single* resumable
+The legacy island loop (``IslandGA.run_epoch_loop`` in
+:mod:`repro.parallel.islands`) builds a fresh engine every epoch.  This
+module maps the archipelago onto a *single* resumable
 :class:`~repro.core.batch.BatchBehavioralGA` whose replica axis is the
 island axis: one ``(islands, pop)`` population array, one multi-stream RNG
 bank, advanced ``migration_interval`` generations per :meth:`step`, which
@@ -20,9 +19,9 @@ members worst-first with one stable argsort, scatter the migrants over the
 best-tracking registers — no per-island Python loops.
 
 Exactness contract: for any ``(params, seed, topology)`` the exact-mode
-:class:`VectorIslandGA` is bit-identical to the legacy epoch loop (which
-is itself bit-identical to the pooled mode) — the differential suite in
-``tests/parallel/test_archipelago.py`` locks all three together.  Turbo
+:class:`VectorIslandGA` is bit-identical to the legacy epoch loop — the
+differential suite in ``tests/parallel/test_archipelago.py`` locks the
+two together.  Turbo
 mode carries the engine's usual turbo contract: same operator
 distributions, different word allocation, deterministic per (params,
 seed, topology) and independent of step chunking.
@@ -178,9 +177,9 @@ class VectorIslandGA:
     """Island model executed as one resumable batched slab.
 
     Bit-identical to the legacy :class:`~repro.parallel.islands.IslandGA`
-    epoch loop in exact mode (``IslandGA`` with ``processes=1`` delegates
-    here); turbo mode runs the same archipelago on the vectorised
-    generation kernel.  ``record_champions`` gates the O(epochs x islands)
+    epoch loop in exact mode (``IslandGA.run`` delegates here); turbo mode
+    runs the same archipelago on the vectorised generation kernel.
+    ``record_champions`` gates the O(epochs x islands)
     ``epoch_champions`` tuple history — leave it off for thousand-island
     runs.
     """

@@ -12,20 +12,14 @@ remainder, so exactly ``n_generations`` generations execute per island;
 no migration happens after the final epoch (there is nothing left to
 evolve the migrants).
 
-Two execution modes:
-
-* ``processes=1`` — the run delegates to
-  :class:`~repro.parallel.archipelago.VectorIslandGA`: the whole
-  archipelago is one resumable :class:`BatchBehavioralGA` slab (replica
-  axis = island) stepped ``migration_interval`` generations at a time,
-  with migration as a pure array operation;
-* ``processes>1`` — epochs fan out over a persistent ``multiprocessing``
-  pool (created once per :class:`IslandGA`, reused across epochs *and*
-  runs; workers cache fitness tables by name so an epoch boundary ships
-  only populations and RNG states).  Results are identical to the
-  vectorized mode because each island owns an independently seeded RNG
-  and migration happens at synchronised epoch barriers (property-tested
-  in ``tests/parallel/test_archipelago.py``).
+:meth:`IslandGA.run` delegates to
+:class:`~repro.parallel.archipelago.VectorIslandGA`: the whole archipelago
+is one resumable :class:`BatchBehavioralGA` slab (replica axis = island)
+stepped ``migration_interval`` generations at a time, with migration as a
+pure array operation.  :meth:`IslandGA.run_epoch_loop` keeps the per-epoch
+loop — one fresh batched engine call per epoch — as the in-process
+reference the vectorized archipelago is property-tested against
+(``tests/parallel/test_archipelago.py``).
 """
 
 from __future__ import annotations
@@ -35,17 +29,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.batch import BatchBehavioralGA
-from repro.core.behavioral import BehavioralGA
 from repro.core.params import GAParameters
 from repro.core.validate import validate_island_params
 from repro.fitness.base import FitnessFunction
-from repro.fitness.functions import by_name
 from repro.parallel.archipelago import (
     VectorIslandGA,
     build_topology,
     island_seeds,
 )
-from repro.rng.cellular_automaton import CellularAutomatonPRNG
 
 
 @dataclass
@@ -72,44 +63,6 @@ class IslandResult:
     epoch_summary: list[tuple[int, int, int]] = field(default_factory=list)
 
 
-def _epoch_worker(args: tuple) -> tuple[int, list[int], int, int, int, int]:
-    """Run one island for one epoch.  Module-level so it pickles.
-
-    args: (fitness_name, island_index, params_dict, epoch_gens, rng_state,
-    rng_seed, population_or_None, engine_mode)
-    returns: (island, final_population, best_ind, best_fit, rng_state,
-    evaluations)
-    """
-    (
-        fn_name,
-        island,
-        params_dict,
-        epoch_gens,
-        rng_state,
-        rng_seed,
-        population,
-        engine_mode,
-    ) = args
-    # the registry shares instances process-wide, so each worker builds a
-    # fitness LUT once per name for the life of the pool (the cache used
-    # to live here; it now serves every consumer, not just islands)
-    fn = by_name(fn_name)
-    params = GAParameters(**params_dict).with_(n_generations=epoch_gens)
-    rng = CellularAutomatonPRNG(rng_seed)
-    rng.state = rng_state
-    ga = BehavioralGA(params, fn, rng=rng, record_members=False, mode=engine_mode)
-    initial = np.asarray(population, dtype=np.int64) if population is not None else None
-    result = ga.run(initial=initial)
-    return (
-        island,
-        ga.final_population.tolist(),
-        result.best_individual,
-        result.best_fitness,
-        rng.state,
-        result.evaluations,
-    )
-
-
 class IslandGA:
     """Programmable-topology island model over behavioural GA engines."""
 
@@ -119,7 +72,6 @@ class IslandGA:
         fitness: FitnessFunction,
         n_islands: int = 4,
         migration_interval: int = 8,
-        processes: int = 1,
         tracer=None,
         engine_mode: str = "exact",
         topology: str = "ring",
@@ -130,15 +82,14 @@ class IslandGA:
             raise ValueError(
                 f"engine_mode must be 'exact' or 'turbo': {engine_mode!r}"
             )
-        #: ``"exact"`` or ``"turbo"``; turbo islands stay deterministic in
-        #: both execution modes because the turbo engine's word consumption
-        #: is composition-independent (solo == batch row, per stream)
+        #: ``"exact"`` or ``"turbo"``; turbo islands agree between the two
+        #: loops because the turbo engine's word consumption is
+        #: composition-independent (solo == batch row, per stream)
         self.engine_mode = engine_mode
         self.params = params
         self.fitness = fitness
         self.n_islands = n_islands
         self.migration_interval = migration_interval
-        self.processes = processes
         #: archipelago wiring, seed-deterministic for ``"random[:k]"``
         self.topology = build_topology(topology, n_islands, params.rng_seed)
         if self.topology.max_fan_in >= params.population_size:
@@ -149,16 +100,12 @@ class IslandGA:
         self.record_champions = record_champions
         #: optional :class:`~repro.obs.tracer.Tracer`: one ``ga.run`` span,
         #: an ``island.epoch`` span per epoch (nesting the batched engine's
-        #: per-generation events on the in-process path) and an
-        #: ``island.migration`` event per boundary.  Results are identical
-        #: with tracing on or off, in both execution modes; the
-        #: ``processes>1`` pool traces at epoch granularity only (the
-        #: tracer does not cross process boundaries).
+        #: per-generation events) and an ``island.migration`` event per
+        #: boundary.  Results are identical with tracing on or off.
         self.tracer = tracer
         # Island seeds: decorrelated offsets of the programmed seed
         # (the programmable-seed feature, once per core).
         self.seeds = island_seeds(params, n_islands)
-        self._pool = None
 
     # ------------------------------------------------------------------
     def epoch_schedule(self) -> list[int]:
@@ -171,63 +118,9 @@ class IslandGA:
             schedule.append(remainder)
         return schedule
 
-    def close(self) -> None:
-        """Shut down the persistent worker pool (no-op if never started)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "IslandGA":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self):
-        pool = getattr(self, "_pool", None)
-        if pool is not None:
-            try:
-                pool.terminate()
-            except Exception:
-                pass
-
-    def _ensure_pool(self):
-        """The persistent pool: spawned once, reused across epochs and
-        across :meth:`run` calls (the workers' fitness-table caches are
-        the state worth keeping warm)."""
-        if self._pool is None:
-            import multiprocessing as mp
-
-            self._pool = mp.Pool(self.processes)
-        return self._pool
-
-    def _epoch_jobs(self, epoch_gens, states, populations):
-        params_dict = dict(
-            n_generations=self.params.n_generations,
-            population_size=self.params.population_size,
-            crossover_threshold=self.params.crossover_threshold,
-            mutation_threshold=self.params.mutation_threshold,
-            rng_seed=self.params.rng_seed,
-        )
-        return [
-            (
-                self.fitness.name,
-                i,
-                params_dict,
-                epoch_gens,
-                states[i],
-                self.seeds[i],
-                populations[i],
-                self.engine_mode,
-            )
-            for i in range(self.n_islands)
-        ]
-
     def _batched_epoch(self, epoch_gens, states, populations):
-        """The in-process reference path: evolve every island in one
-        :class:`BatchBehavioralGA` call (bit-identical to the per-island
-        workers — same per-stream draw sequence, same operators)."""
+        """Evolve every island for one epoch in one fresh
+        :class:`BatchBehavioralGA` call."""
         params_list = [
             self.params.with_(n_generations=epoch_gens, rng_seed=self.seeds[i])
             for i in range(self.n_islands)
@@ -281,27 +174,22 @@ class IslandGA:
             populations[d] = pop.tolist()
 
     def run(self) -> IslandResult:
-        """Run all epochs; vectorized in-process or pooled per
-        ``processes``."""
-        if self.processes == 1:
-            return VectorIslandGA(
-                self.params,
-                self.fitness,
-                n_islands=self.n_islands,
-                migration_interval=self.migration_interval,
-                topology=self.topology,
-                record_champions=self.record_champions,
-                tracer=self.tracer,
-                engine_mode=self.engine_mode,
-            ).run()
-        return self.run_epoch_loop()
+        """Run all epochs on the vectorized archipelago."""
+        return VectorIslandGA(
+            self.params,
+            self.fitness,
+            n_islands=self.n_islands,
+            migration_interval=self.migration_interval,
+            topology=self.topology,
+            record_champions=self.record_champions,
+            tracer=self.tracer,
+            engine_mode=self.engine_mode,
+        ).run()
 
     def run_epoch_loop(self) -> IslandResult:
-        """The legacy epoch loop: one engine pass per island per epoch.
+        """The legacy epoch loop: one fresh batched engine call per epoch.
 
-        With ``processes>1`` epochs fan out over the persistent pool;
-        with ``processes=1`` each epoch is one fresh batched engine call
-        — kept as the reference implementation the vectorized archipelago
+        Kept as the reference implementation the vectorized archipelago
         is property-tested against (and the baseline its benchmark
         measures the speedup over).
         """
@@ -319,7 +207,6 @@ class IslandGA:
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled
 
-        pool = self._ensure_pool() if self.processes > 1 else None
         run_scope = (
             tracer.span(
                 "ga.run",
@@ -341,13 +228,9 @@ class IslandGA:
                     else nullcontext()
                 )
                 with epoch_scope:
-                    if pool is not None:
-                        jobs = self._epoch_jobs(epoch_gens, states, populations)
-                        results = pool.map(_epoch_worker, jobs)
-                    else:
-                        results = self._batched_epoch(
-                            epoch_gens, states, populations
-                        )
+                    results = self._batched_epoch(
+                        epoch_gens, states, populations
+                    )
                     champions: list[tuple[int, int]] = [
                         (0, -1)
                     ] * self.n_islands

@@ -84,24 +84,39 @@ class BatchPolicy:
             )
 
 
+def job_kind(request: GARequest) -> str:
+    """How a request executes: ``"batch"`` or one of the solo kinds.
+
+    This is the serving layer's single routing decision — the slab key,
+    the slab's shape, the scheduler's readiness test, and the worker's
+    runner all follow from it.  ``"batch"`` jobs share slabs; the solo
+    kinds each own a single-job slab run to completion in one chunk:
+    ``"hardened"`` (fault streams are addressed per solo run),
+    ``"island"`` (the archipelago is its own slab, replica axis =
+    island), and the non-behavioral substrates ``"cycle"`` and
+    ``"dual32"``.
+    """
+    if request.protection is not None:
+        return "hardened"
+    if request.n_islands > 1:
+        return "island"
+    if request.substrate != "behavioral":
+        return request.substrate
+    return "batch"
+
+
 def compat_key(record: "JobRecord") -> tuple:
     """Jobs sharing this key may ride one slab.
 
     Population size is structural (it is the member axis of the 2-D
     population array), and the engine mode is too — a slab runs entirely
-    exact or entirely turbo, never mixed; hardened jobs are never batched —
-    their fault streams are addressed per solo run — so each gets a unique
-    key.  Island jobs (``n_islands > 1``) are their *own* slab already
-    (replica axis = island), so they too run solo under a unique key.
+    exact or entirely turbo, never mixed.  Solo kinds get a unique key.
     """
-    if record.request.protection is not None:
-        return ("hardened", record.seq)
-    if record.request.n_islands > 1:
-        return ("island", record.seq)
-    if record.request.substrate != "behavioral":
-        return ("substrate", record.seq)
+    kind = job_kind(record.request)
+    if kind != "batch":
+        return (kind, record.seq)
     return (
-        "batch",
+        kind,
         record.request.params.population_size,
         record.request.engine_mode,
     )
@@ -125,9 +140,9 @@ class JobRecord:
     stats: list[tuple[int, int, int]] = field(default_factory=list)
     best_individual: int = 0
     best_fitness: int = -1
-    protection_stats: dict = field(default_factory=dict)
-    island_stats: dict = field(default_factory=dict)
-    substrate_stats: dict = field(default_factory=dict)
+    #: the solo kind's counters, keyed by their ``JobResult`` field
+    #: (``protection_stats``, ``island_stats`` or ``substrate_stats``)
+    result_stats: dict = field(default_factory=dict)
     #: consecutive failed executions of the current chunk (reset on every
     #: chunk that completes); bounded by ``request.retry.max_attempts``
     attempts: int = 0
@@ -170,9 +185,7 @@ class JobRecord:
             wait_s=(self.started_at or completed_at) - self.submitted_at,
             n_chunks=self.chunks,
             deadline_missed=completed_at > self.deadline_at,
-            protection_stats=self.protection_stats,
-            island_stats=self.island_stats,
-            substrate_stats=self.substrate_stats,
+            **self.result_stats,
         )
 
 
@@ -187,16 +200,11 @@ class Slab:
         self.slab_id = next(Slab._ids)
         self.entries = list(entries)
         self.policy = policy
-        self.hardened = entries[0].request.protection is not None
-        if self.hardened and len(entries) != 1:
-            raise ValueError("hardened jobs run in single-job slabs")
-        self.island = entries[0].request.n_islands > 1
-        if self.island and len(entries) != 1:
-            raise ValueError("island jobs run in single-job slabs")
-        self.substrate = entries[0].request.substrate
-        if self.substrate != "behavioral" and len(entries) != 1:
-            raise ValueError("non-behavioral substrate jobs run in single-job slabs")
-        self.pop = entries[0].request.params.population_size
+        #: the slab's compat key: late arrivals under this key are admitted
+        self.key = compat_key(entries[0])
+        self.kind = self.key[0]
+        if self.solo and len(entries) != 1:
+            raise ValueError(f"{self.kind} jobs run in single-job slabs")
         self.engine_mode = entries[0].request.engine_mode
         #: chunks completed by this slab (drives the checkpoint cadence)
         self.chunks_done = 0
@@ -210,7 +218,7 @@ class Slab:
     @property
     def solo(self) -> bool:
         """True for slabs that own a single job start to finish."""
-        return self.hardened or self.island or self.substrate != "behavioral"
+        return self.kind != "batch"
 
     @property
     def capacity_left(self) -> int:
@@ -226,20 +234,23 @@ class Slab:
 
     def next_chunk_gens(self) -> int:
         """Chunk length: the admission interval, clamped to the shortest
-        remaining job so retirements land on chunk boundaries.  Hardened,
-        island, and non-behavioral-substrate slabs run to completion in
-        one chunk (fault injection, migration schedules, and substrate
-        engines are addressed against an uninterrupted run)."""
+        remaining job so retirements land on chunk boundaries.  Solo slabs
+        run to completion in one chunk (fault injection, migration
+        schedules, and substrate engines are addressed against an
+        uninterrupted run)."""
         shortest = min(r.remaining for r in self.entries)
         if self.solo:
             return shortest
         return min(self.policy.admit_interval, shortest)
 
     def make_spec(self, chunk_gens: int) -> dict:
-        """The picklable worker payload for the next chunk."""
-        spec_entries = []
-        for record in self.entries:
-            spec_entries.append(
+        """The picklable worker payload for the next chunk; a solo slab's
+        spec also carries its job's whole request."""
+        spec = {
+            "kind": self.kind,
+            "chunk_gens": chunk_gens,
+            "mode": self.engine_mode,
+            "entries": [
                 {
                     "job_id": record.job_id,
                     "params": params_to_dict(record.request.params),
@@ -248,31 +259,12 @@ class Slab:
                     "rng_state": record.rng_state,
                     "record_stats": record.request.record_trace,
                 }
-            )
-        protection = None
-        if self.hardened:
-            req = self.entries[0].request
-            protection = {
-                "preset": req.protection,
-                "upset_rate": req.upset_rate,
-                "campaign_seed": req.campaign_seed,
-            }
-        island = None
-        if self.island:
-            req = self.entries[0].request
-            island = {
-                "n_islands": req.n_islands,
-                "migration_interval": req.migration_interval,
-                "topology": req.topology,
-            }
-        return {
-            "chunk_gens": chunk_gens,
-            "entries": spec_entries,
-            "protection": protection,
-            "island": island,
-            "mode": self.engine_mode,
-            "substrate": self.substrate,
+                for record in self.entries
+            ],
         }
+        if self.solo:
+            spec["request"] = self.entries[0].request.to_dict()
+        return spec
 
     def apply_chunk(self, out: dict, chunk_gens: int) -> list[JobRecord]:
         """Fold a worker's chunk result back into the records.
@@ -296,9 +288,7 @@ class Slab:
             record.evaluations += entry_out["evaluations"]
             record.best_individual = entry_out["best_individual"]
             record.best_fitness = entry_out["best_fitness"]
-            record.protection_stats = entry_out["protection_stats"]
-            record.island_stats = entry_out.get("island_stats", {})
-            record.substrate_stats = entry_out.get("substrate_stats", {})
+            record.result_stats = entry_out.get("result_stats", {})
             record.chunks += 1
             record.remaining -= chunk_gens
             record.attempts = 0  # the retry budget is per chunk

@@ -8,8 +8,9 @@ window, a parked slab's retry-backoff expiry, an in-flight chunk's
 watchdog deadline, or an enforce-mode job's deadline — then seals every
 *ready* group of compatible jobs into a :class:`~repro.service.batcher.Slab`
 and dispatches its first chunk to the worker pool.  A group is ready when
-it is full (``max_batch``), aged (``max_wait_s``), hardened (nothing to
-wait for — it cannot batch), or the service is draining.
+it is full (``max_batch``), aged (``max_wait_s``), solo (a non-batch
+:func:`~repro.service.batcher.job_kind`: nothing to wait for — it cannot
+batch), or the service is draining.
 
 Chunk completions are folded back in from the pool's callback thread:
 finished jobs retire and fulfil their handles, compatible pending jobs are
@@ -482,7 +483,7 @@ class Scheduler:
     def _group_ready(self, key: tuple, records: list[JobRecord], now: float) -> bool:
         if self._closing:
             return True
-        if key[0] in ("hardened", "island", "substrate"):
+        if key[0] != "batch":
             return True  # solo by construction; waiting buys nothing
         if len(records) >= self.policy.max_batch:
             return True
@@ -859,12 +860,9 @@ class Scheduler:
         """Continuous batching: pull compatible pending jobs into freed
         replica rows at the chunk boundary (lock held)."""
         capacity = slab.capacity_left
-        if capacity <= 0 or slab.solo:
+        if capacity <= 0:
             return
-        # key must mirror compat_key exactly — it silently stopped
-        # matching when the engine mode joined the key, killing late
-        # admission into running slabs
-        key = ("batch", slab.pop, slab.engine_mode)
+        key = slab.key
         records = self._pending.get(key)
         if not records:
             return

@@ -16,12 +16,11 @@ bit-identical to serial).  Chunking is invisible: the resumed chunk's
 generation-0 record duplicates the previous chunk's last generation and is
 dropped by the scheduler when splicing traces.
 
-Hardened jobs (``protection`` set) bypass batching entirely: the
-resilience harness addresses its fault streams by replica and boundary
-index, so the job runs solo and unchunked through
-:class:`~repro.core.behavioral.BehavioralGA` with a fresh
-:class:`~repro.resilience.harden.ResilienceHarness` — bit-identical to a
-solo hardened run by construction.
+The chunk spec's ``kind`` (:func:`repro.service.batcher.job_kind`)
+picks the runner from one table, :data:`RUNNERS`.  Solo kinds — hardened,
+island, cycle-accurate and dual-core 32-bit jobs — bypass batching: each
+runs its job's whole request unchunked on its own engine, and one shared
+shaper turns the engine result into the chunk-result entry.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from repro.obs.profile import ProfileScope
 from repro.obs.tracer import get_tracer
 from repro.rng.cellular_automaton import CellularAutomatonPRNG
 from repro.service.chaos import apply_chunk_fault
+from repro.service.jobs import GARequest
 
 
 def run_slab_chunk(spec: dict) -> dict:
@@ -45,40 +45,44 @@ def run_slab_chunk(spec: dict) -> dict:
 
     ``spec``::
 
-        {"chunk_gens": int,
+        {"kind": "batch" | "hardened" | "island" | "cycle" | "dual32",
+                                      # the job kind, default "batch"
+         "chunk_gens": int,
          "mode": "exact" | "turbo",   # engine mode, default "exact"
          "chaos": None | {"action": "kill" | "delay", ...},  # injected fault
-         "protection": None | {"preset", "upset_rate", "campaign_seed"},
+         "request": {...},            # solo kinds: GARequest.to_dict()
          "entries": [{"job_id", "params": {...}, "fitness",
                       "population": [..] | None,   # None -> fresh draw
                       "rng_state": int | None,
                       "record_stats": bool}, ...]}
 
-    Returns ``{"entries": [{"job_id", "population", "rng_state",
-    "evaluations", "stats", "best_individual", "best_fitness",
-    "protection_stats"}, ...]}`` where ``stats`` rows are
-    ``(best_fitness, best_individual, fitness_sum)`` for the chunk's local
-    generations 0..chunk_gens (empty when ``record_stats`` is off).
+    The kind picks the runner from :data:`RUNNERS`.  Returns
+    ``{"entries": [{"job_id", "population", "rng_state", "evaluations",
+    "stats", "best_individual", "best_fitness", "result_stats"}, ...]}``
+    where ``stats`` rows are ``(best_fitness, best_individual,
+    fitness_sum)`` for the chunk's local generations 0..chunk_gens (empty
+    when ``record_stats`` is off) and ``result_stats`` maps a solo kind's
+    ``JobResult`` stats field to its counters.
 
     Observability: every chunk is timed into the process registry's
     ``profile.service.slab_chunk`` histogram, and when the process default
     tracer (:func:`~repro.obs.tracer.get_tracer`) is enabled — which a
     thread-mode :class:`WorkerPool` shares with the caller — the chunk
-    runs inside a ``service.chunk`` span carrying its ``job_ids``, with
-    the engine's per-generation events nested under it.  Process-mode
-    workers run with the default null tracer unless their interpreter
-    arms one.
+    runs inside a ``service.chunk`` span carrying its ``job_ids`` and
+    ``kind``, with the engine's per-generation events nested under it.
+    Process-mode workers run with the default null tracer unless their
+    interpreter arms one.
     """
     from contextlib import nullcontext
 
+    kind = spec.get("kind", "batch")
     tracer = get_tracer()
     span = (
         tracer.span(
             "service.chunk",
             job_ids=[entry["job_id"] for entry in spec["entries"]],
             chunk_gens=spec.get("chunk_gens"),
-            hardened=spec.get("protection") is not None,
-            island=spec.get("island") is not None,
+            kind=kind,
         )
         if tracer.enabled
         else nullcontext()
@@ -88,19 +92,40 @@ def run_slab_chunk(spec: dict) -> dict:
             # injected fault (see repro.service.chaos): may sleep, raise
             # WorkerCrashError, or os._exit this worker outright
             apply_chunk_fault(spec["chaos"])
-        if spec.get("protection") is not None:
-            return _run_hardened(spec, tracer)
-        if spec.get("island") is not None:
-            return _run_island(spec, tracer)
-        substrate = spec.get("substrate", "behavioral")
-        if substrate == "cycle":
-            return _run_cycle(spec)
-        if substrate == "dual32":
-            return _run_dual32(spec)
-        return _run_batched(spec, tracer)
+        return {"entries": RUNNERS[kind](spec, tracer)}
 
 
-def _run_batched(spec: dict, tracer=None) -> dict:
+def _entry(entry: dict, result, **carried) -> dict:
+    """The chunk-result entry for one job, from its engine result.
+
+    ``carried`` overrides the solo defaults: a batch chunk carries the
+    population and RNG stream back for resumption, a solo kind its
+    ``result_stats``.  An archipelago's trace rows are its per-epoch
+    summary ``(best_fitness, best_individual, champion_fitness_sum)``.
+    """
+    if not entry.get("record_stats", True):
+        rows = []
+    elif hasattr(result, "epoch_summary"):
+        rows = [tuple(row) for row in result.epoch_summary]
+    else:
+        rows = [
+            (g.best_fitness, g.best_individual, g.fitness_sum)
+            for g in result.history
+        ]
+    return {
+        "job_id": entry["job_id"],
+        "population": None,
+        "rng_state": None,
+        "evaluations": result.evaluations,
+        "stats": rows,
+        "best_individual": result.best_individual,
+        "best_fitness": result.best_fitness,
+        "result_stats": {},
+        **carried,
+    }
+
+
+def _run_batched(spec: dict, tracer=None) -> list[dict]:
     """The common path: one :class:`BatchBehavioralGA` call per chunk."""
     chunk = spec["chunk_gens"]
     entries = spec["entries"]
@@ -134,34 +159,36 @@ def _run_batched(spec: dict, tracer=None) -> dict:
     )
     initial = np.asarray(populations, dtype=np.int64)
     results = batch.run(initial=initial)
-
-    out = []
-    for i, entry in enumerate(entries):
-        stats = (
-            [
-                (g.best_fitness, g.best_individual, g.fitness_sum)
-                for g in results[i].history
-            ]
-            if entry.get("record_stats", True)
-            else []
+    return [
+        _entry(
+            entry,
+            results[i],
+            population=batch.final_populations[i].tolist(),
+            rng_state=int(batch.rng_states[i]),
+            evaluations=base_evals[i] + results[i].evaluations,
         )
-        out.append(
-            {
-                "job_id": entry["job_id"],
-                "population": batch.final_populations[i].tolist(),
-                "rng_state": int(batch.rng_states[i]),
-                "evaluations": base_evals[i] + results[i].evaluations,
-                "stats": stats,
-                "best_individual": results[i].best_individual,
-                "best_fitness": results[i].best_fitness,
-                "protection_stats": {},
-            }
-        )
-    return {"entries": out}
+        for i, entry in enumerate(entries)
+    ]
 
 
-def _run_hardened(spec: dict, tracer=None) -> dict:
-    """Solo, unchunked execution of one job under a resilience harness."""
+def _solo(run, stats_field: str):
+    """A solo kind's runner: ``run(request, tracer)`` executes the job's
+    whole run and returns ``(engine result, counters)``; the counters
+    land in the ``JobResult`` field ``stats_field``.  Solo jobs run to
+    completion in one chunk, so no state is carried back."""
+
+    def runner(spec: dict, tracer=None) -> list[dict]:
+        request = GARequest.from_dict(spec["request"])
+        result, counters = run(request, tracer)
+        (entry,) = spec["entries"]
+        return [_entry(entry, result, result_stats={stats_field: counters})]
+
+    return runner
+
+
+def _run_hardened(request: GARequest, tracer=None):
+    """One job under a fresh resilience harness — bit-identical to a solo
+    hardened :class:`~repro.core.behavioral.BehavioralGA` run."""
     from repro.core.behavioral import BehavioralGA
     from repro.resilience import (
         PROTECTION_PRESETS,
@@ -169,179 +196,83 @@ def _run_hardened(spec: dict, tracer=None) -> dict:
         UpsetRates,
     )
 
-    (entry,) = spec["entries"]
-    prot = spec["protection"]
-    params = GAParameters(**entry["params"])
     harness = ResilienceHarness(
-        PROTECTION_PRESETS[prot["preset"]],
-        UpsetRates.uniform(prot["upset_rate"]),
-        seed=prot["campaign_seed"],
+        PROTECTION_PRESETS[request.protection],
+        UpsetRates.uniform(request.upset_rate),
+        seed=request.campaign_seed,
         n_replicas=1,
         tracer=tracer,
     )
-    ga = BehavioralGA(
-        params, by_name(entry["fitness"]), record_members=False,
+    result = BehavioralGA(
+        request.params, by_name(request.fitness_name), record_members=False,
         resilience=harness, tracer=tracer,
-    )
-    result = ga.run()
-    stats = (
-        [
-            (g.best_fitness, g.best_individual, g.fitness_sum)
-            for g in result.history
-        ]
-        if entry.get("record_stats", True)
-        else []
-    )
-    return {
-        "entries": [
-            {
-                "job_id": entry["job_id"],
-                "population": ga.final_population.tolist(),
-                "rng_state": int(ga.rng.state),
-                "evaluations": result.evaluations,
-                "stats": stats,
-                "best_individual": result.best_individual,
-                "best_fitness": result.best_fitness,
-                "protection_stats": {
-                    "rollbacks": int(harness.rollbacks[0]),
-                    "generations_lost": int(harness.generations_lost[0]),
-                    "corrected": int(harness.corrected[0]),
-                    "elite_repairs": int(harness.elite_repairs[0]),
-                    "failovers": int(harness.failovers[0]),
-                },
-            }
-        ]
+    ).run()
+    return result, {
+        "rollbacks": int(harness.rollbacks[0]),
+        "generations_lost": int(harness.generations_lost[0]),
+        "corrected": int(harness.corrected[0]),
+        "elite_repairs": int(harness.elite_repairs[0]),
+        "failovers": int(harness.failovers[0]),
     }
 
 
-def _run_island(spec: dict, tracer=None) -> dict:
-    """Solo, unchunked execution of one archipelago job.
-
-    The whole archipelago *is* one
+def _run_island(request: GARequest, tracer=None):
+    """One archipelago job: the whole archipelago *is* one
     :class:`~repro.parallel.archipelago.VectorIslandGA` slab (replica
-    axis = island), so the job runs to completion in a single chunk; the
-    returned ``stats`` rows are per *epoch* —
-    ``(best_fitness, best_individual, champion_fitness_sum)`` — and
-    ``island_stats`` carries the archipelago counters.  Results are
-    bit-identical to a local ``IslandGA(processes=1).run()`` of the same
-    request by construction (same engine, same seeds, same topology
-    wiring from the job's ``rng_seed``).
-    """
+    axis = island), bit-identical to a local ``IslandGA(...).run()`` of
+    the same request (same engine, seeds and topology wiring)."""
     from repro.parallel.archipelago import VectorIslandGA
 
-    (entry,) = spec["entries"]
-    isl = spec["island"]
-    params = GAParameters(**entry["params"])
-    ga = VectorIslandGA(
-        params,
-        by_name(entry["fitness"]),
-        n_islands=isl["n_islands"],
-        migration_interval=isl["migration_interval"],
-        topology=isl["topology"],
+    result = VectorIslandGA(
+        request.params,
+        by_name(request.fitness_name),
+        n_islands=request.n_islands,
+        migration_interval=request.migration_interval,
+        topology=request.topology,
         record_champions=False,
         tracer=tracer,
-        engine_mode=spec.get("mode", "exact"),
-    )
-    result = ga.run()
-    stats = (
-        [tuple(row) for row in result.epoch_summary]
-        if entry.get("record_stats", True)
-        else []
-    )
-    return {
-        "entries": [
-            {
-                "job_id": entry["job_id"],
-                "population": None,
-                "rng_state": None,
-                "evaluations": result.evaluations,
-                "stats": stats,
-                "best_individual": result.best_individual,
-                "best_fitness": result.best_fitness,
-                "protection_stats": {},
-                "island_stats": {
-                    "islands": isl["n_islands"],
-                    "migration_interval": isl["migration_interval"],
-                    "topology": isl["topology"],
-                    "migrations": result.migrations,
-                    "island_bests": result.island_bests,
-                },
-            }
-        ]
+        engine_mode=request.engine_mode,
+    ).run()
+    return result, {
+        "islands": request.n_islands,
+        "migration_interval": request.migration_interval,
+        "topology": request.topology,
+        "migrations": result.migrations,
+        "island_bests": result.island_bests,
     }
 
 
-def _result_entry(entry: dict, result, substrate_stats: dict) -> dict:
-    """Shared worker→scheduler payload for the solo substrate paths.
-
-    Like island jobs, substrate jobs run to completion in one chunk, so
-    no population/RNG state is carried back for resumption.
-    """
-    stats = (
-        [
-            (g.best_fitness, g.best_individual, g.fitness_sum)
-            for g in result.history
-        ]
-        if entry.get("record_stats", True)
-        else []
-    )
-    return {
-        "job_id": entry["job_id"],
-        "population": None,
-        "rng_state": None,
-        "evaluations": result.evaluations,
-        "stats": stats,
-        "best_individual": result.best_individual,
-        "best_fitness": result.best_fitness,
-        "protection_stats": {},
-        "substrate_stats": substrate_stats,
-    }
-
-
-def _run_cycle(spec: dict) -> dict:
-    """Solo, unchunked execution on the cycle-accurate Fig. 4 testbench.
-
-    The job runs the full HDL-modelled system (GA module + init +
-    application + lookup FEM); ``substrate_stats`` reports the GA-domain
-    clock cycles the run consumed — the number the paper's Table VI
-    hardware-runtime claims are made from.
-    """
+def _run_cycle(request: GARequest, tracer=None):
+    """One job on the cycle-accurate Fig. 4 testbench (GA module + init +
+    application + lookup FEM); ``cycles`` is the GA-domain clock count the
+    paper's Table VI hardware-runtime claims are made from."""
     from repro.core.system import GASystem
 
-    (entry,) = spec["entries"]
-    params = GAParameters(**entry["params"])
-    result = GASystem(params, by_name(entry["fitness"])).run()
-    return {
-        "entries": [
-            _result_entry(
-                entry,
-                result,
-                {"substrate": "cycle", "cycles": result.cycles},
-            )
-        ]
-    }
+    result = GASystem(request.params, by_name(request.fitness_name)).run()
+    return result, {"substrate": "cycle", "cycles": result.cycles}
 
 
-def _run_dual32(spec: dict) -> dict:
-    """Solo, unchunked execution on the dual-core 32-bit composition.
-
-    ``best_individual`` (and the per-generation stats rows) carry 32-bit
-    chromosomes; the fitness name resolves through the 32-bit registry
-    (``repro.fitness.ehw_targets.FITNESS32_REGISTRY``), not the 16-bit
-    FEM registry.
-    """
+def _run_dual32(request: GARequest, tracer=None):
+    """One job on the dual-core 32-bit composition: chromosomes are 32-bit
+    and the fitness name resolves through
+    ``repro.fitness.ehw_targets.FITNESS32_REGISTRY``."""
     from repro.core.scaling import DualCoreGA32
     from repro.fitness.ehw_targets import FITNESS32_REGISTRY
 
-    (entry,) = spec["entries"]
-    params = GAParameters(**entry["params"])
-    fitness32 = FITNESS32_REGISTRY[entry["fitness"]]
-    result = DualCoreGA32(params, fitness32).run()
-    return {
-        "entries": [
-            _result_entry(entry, result, {"substrate": "dual32", "width": 32})
-        ]
-    }
+    result = DualCoreGA32(
+        request.params, FITNESS32_REGISTRY[request.fitness_name]
+    ).run()
+    return result, {"substrate": "dual32", "width": 32}
+
+
+#: job kind (:func:`repro.service.batcher.job_kind`) -> chunk runner
+RUNNERS = {
+    "batch": _run_batched,
+    "hardened": _solo(_run_hardened, "protection_stats"),
+    "island": _solo(_run_island, "island_stats"),
+    "cycle": _solo(_run_cycle, "substrate_stats"),
+    "dual32": _solo(_run_dual32, "substrate_stats"),
+}
 
 
 class WorkerPool:

@@ -4,7 +4,6 @@ import threading
 
 from repro.fitness import base as fitness_base
 from repro.fitness.functions import REGISTRY, by_name, fresh_instance
-from repro.parallel import islands
 
 
 def test_by_name_returns_shared_instance():
@@ -41,23 +40,3 @@ def test_shared_instance_threadsafe_lookup():
     for t in threads:
         t.join()
     assert len({id(fn) for fn in seen}) == 1
-
-
-def test_epoch_worker_reuses_shared_fitness():
-    """Regression for the cache hoist: the per-worker ``_FN_CACHE`` that
-    used to live in ``parallel.islands`` is gone — epoch workers now ride
-    the registry's shared instances, building each LUT at most once."""
-    assert not hasattr(islands, "_FN_CACHE")
-    assert not hasattr(islands, "_worker_fitness")
-    by_name("mBF6_2").table()  # pre-build, as any earlier consumer would
-    before = dict(fitness_base.TABLE_BUILDS)
-    params_dict = {
-        "n_generations": 4, "population_size": 8,
-        "crossover_threshold": 10, "mutation_threshold": 1,
-        "rng_seed": 0x061F,
-    }
-    for island in range(3):
-        islands._epoch_worker(
-            ("mBF6_2", island, params_dict, 4, 0x061F, 0x061F, None, "exact")
-        )
-    assert fitness_base.TABLE_BUILDS == before  # zero rebuilds

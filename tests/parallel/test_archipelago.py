@@ -1,9 +1,8 @@
 """Differential conformance suite for the vectorized archipelago.
 
-Three implementations of the island model must agree bit-for-bit in
-exact mode — the vectorized slab (:class:`VectorIslandGA`), the legacy
-batched epoch loop (``IslandGA.run_epoch_loop`` with ``processes=1``),
-and the pooled epoch fan-out (``processes>1``) — for every
+Two implementations of the island model must agree bit-for-bit in
+exact mode — the vectorized slab (:class:`VectorIslandGA`) and the legacy
+batched epoch loop (``IslandGA.run_epoch_loop``) — for every
 ``(params, seed, topology)``.  Turbo mode must be deterministic and
 agree between the carried slab and the per-epoch chunking of the legacy
 loop (composition independence).  Random topologies must be
@@ -153,26 +152,9 @@ class TestExactBitIdentity:
         ).run()
         assert vec == legacy
 
-    @pytest.mark.parametrize("topology", ["ring", "torus"])
-    def test_pooled_matches_vector(self, topology):
-        p = params(n_generations=12, population_size=8)
-        with IslandGA(
-            p, F3(), n_islands=3, migration_interval=4, processes=2,
-            topology=topology,
-        ) as pooled_ga:
-            pooled = pooled_ga.run()
-            # the persistent pool survives a second run on the same
-            # instance and still agrees (warm worker fitness caches)
-            pooled_again = pooled_ga.run()
-        vec = IslandGA(
-            p, F3(), n_islands=3, migration_interval=4, topology=topology
-        ).run()
-        assert pooled == vec
-        assert pooled_again == vec
-
     def test_thousand_islands_bit_identical(self):
         # the acceptance-criteria shape: a 1000-island exact-mode slab
-        # agrees with the legacy processes=1 epoch loop
+        # agrees with the legacy epoch loop
         p = params(n_generations=6, population_size=8, rng_seed=0x061F)
         kwargs = dict(n_islands=1000, migration_interval=3)
         vec = VectorIslandGA(p, F3(), **kwargs).run()

@@ -147,28 +147,6 @@ class TestSequentialRun:
         assert result.evaluations == (8 + 8 * 7) * 2
 
 
-class TestParallelMode:
-    def test_pool_matches_sequential(self):
-        # processes=1 runs all islands in one BatchBehavioralGA call per
-        # epoch; the pooled per-island workers must match it bit for bit
-        p = params(n_generations=8, population_size=8)
-        seq = IslandGA(p, F3(), n_islands=2, migration_interval=4, processes=1).run()
-        par = IslandGA(p, F3(), n_islands=2, migration_interval=4, processes=2).run()
-        assert par.best_individual == seq.best_individual
-        assert par.best_per_epoch == seq.best_per_epoch
-        assert par.evaluations == seq.evaluations
-
-    def test_pool_matches_sequential_with_remainder_epoch(self):
-        p = params(n_generations=10, population_size=8)
-        seq = IslandGA(p, F3(), n_islands=3, migration_interval=4, processes=1).run()
-        par = IslandGA(p, F3(), n_islands=3, migration_interval=4, processes=2).run()
-        assert par.best_individual == seq.best_individual
-        assert par.island_bests == seq.island_bests
-        assert par.best_per_epoch == seq.best_per_epoch
-        assert par.evaluations == seq.evaluations
-        assert par.migrations == seq.migrations == 3 * 2
-
-
 class TestEngineMode:
     def test_unknown_engine_mode_rejected(self):
         with pytest.raises(ValueError, match="engine_mode"):
@@ -192,16 +170,3 @@ class TestEngineMode:
         assert result.migrations == 4 * 3
         assert result.evaluations > 0
         assert len(result.best_per_epoch) == 5
-
-    def test_turbo_pooled_matches_batched(self):
-        """Composition independence carries to the process pool: pooled
-        turbo epochs equal the one-batch fast path."""
-        batched = IslandGA(
-            params(), F3(), n_islands=2, engine_mode="turbo", processes=1
-        ).run()
-        pooled = IslandGA(
-            params(), F3(), n_islands=2, engine_mode="turbo", processes=2
-        ).run()
-        assert batched.best_fitness == pooled.best_fitness
-        assert batched.best_per_epoch == pooled.best_per_epoch
-        assert batched.evaluations == pooled.evaluations

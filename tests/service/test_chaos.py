@@ -189,6 +189,23 @@ class TestHungChunkWatchdog:
         assert faults["chunk_retries"] >= 1
 
 
+def snapshot_spill(src, dst) -> list:
+    """Copy the completed ``slab-*.json`` checkpoints of a live spill dir.
+
+    These are exactly the files ``CheckpointStore.claim_all`` reads; an
+    in-progress ``.tmp`` write is skipped, as is a checkpoint that a
+    retiring slab discards between the glob and the copy.
+    """
+    dst.mkdir(exist_ok=True)
+    copied = []
+    for path in src.glob("slab-*.json"):
+        try:
+            copied.append(shutil.copy2(path, dst / path.name))
+        except FileNotFoundError:
+            continue
+    return copied
+
+
 class TestMidSlabRestart:
     def test_resume_from_copied_checkpoint_is_bit_identical(self, tmp_path):
         # service 1 checkpoints every chunk into its spill dir; snapshot
@@ -203,13 +220,14 @@ class TestMidSlabRestart:
         ) as service:
             handles = [service.submit(request) for request in JOBS]
             deadline = time.monotonic() + 20
+            files = []
             while time.monotonic() < deadline:
-                files = list(spill1.glob("slab-*.json"))
-                if files and service.metrics.chunks >= 2:
-                    break
+                if service.metrics.chunks >= 2:
+                    files = snapshot_spill(spill1, spill2)
+                    if files:
+                        break
                 time.sleep(0.002)
             assert files, "no checkpoint was spilled"
-            shutil.copytree(spill1, spill2)
             for handle in handles:
                 handle.result(timeout=120)
             assert service.metrics.checkpoints >= 1

@@ -19,8 +19,9 @@ from repro.service import (
     ShutdownTimeoutError,
     WorkerPool,
 )
-from repro.service.batcher import JobRecord
+from repro.service.batcher import JobRecord, Slab
 from repro.service.jobs import JobHandle
+from repro.service.workers import run_slab_chunk
 
 
 def request(seed=45890, gens=8, pop=16, **kw) -> GARequest:
@@ -239,6 +240,38 @@ class TestShutdownTimeout:
         handle = service.submit(request(gens=4))
         service.shutdown(drain=True, timeout=30.0)
         assert handle.result(timeout=1).best_fitness >= 0
+
+
+class TestLateAdmission:
+    @pytest.mark.parametrize("mode", ["exact", "turbo"])
+    def test_pending_job_joins_running_slab_at_chunk_boundary(self, mode):
+        # an unstarted scheduler: nothing dispatches behind the test's back
+        pool = WorkerPool(1, "thread")
+        policy = BatchPolicy(max_batch=4, admit_interval=4)
+        scheduler = Scheduler(pool, policy)
+        try:
+            running = request(seed=1, gens=12, engine_mode=mode)
+            record = JobRecord(
+                job_id=-1, request=running,
+                handle=JobHandle(-1, running, 0.0), submitted_at=0.0, seq=-1,
+            )
+            slab = Slab([record], policy)
+            chunk = slab.next_chunk_gens()
+            slab.apply_chunk(run_slab_chunk(slab.make_spec(chunk)), chunk)
+
+            other = "turbo" if mode == "exact" else "exact"
+            late = scheduler.submit(request(seed=2, engine_mode=mode))
+            scheduler.submit(request(seed=3, engine_mode=other))
+            scheduler.submit(request(seed=4, pop=24, engine_mode=mode))
+            with scheduler._cond:
+                scheduler._admit_into(slab)
+
+            assert [r.job_id for r in slab.entries] == [-1, late.job_id]
+            assert scheduler._pending_count == 2
+            spec = slab.make_spec(slab.next_chunk_gens())
+            assert spec["entries"][1]["population"] is None  # fresh draw
+        finally:
+            pool.shutdown()
 
 
 class TestSchedulingHints:

@@ -1,7 +1,7 @@
 """Replay bit-identity and the differential cache-hit == cold property.
 
-Across every engine path the service offers (exact, turbo, island,
-hardened), a result served from the store must be bit-identical to a
+Across every job kind's runner the service offers (exact and turbo
+batches, island, hardened, cycle-accurate, dual32), a result served from the store must be bit-identical to a
 cold recomputation, and ``repro replay`` must confirm it.
 """
 
@@ -28,6 +28,12 @@ REQUESTS = {
     "hardened": GARequest(
         params=PARAMS, fitness_name="mBF7_2",
         protection="hardened", upset_rate=1e-4,
+    ),
+    "cycle": GARequest(params=PARAMS, fitness_name="mBF6_2", substrate="cycle"),
+    # the 32-bit fabric fitness costs ~10 ms per evaluation: keep it tiny
+    "dual32": GARequest(
+        params=PARAMS.with_(n_generations=4, population_size=4),
+        fitness_name="fabric32_mux6", substrate="dual32",
     ),
 }
 
