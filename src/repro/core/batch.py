@@ -50,6 +50,7 @@ from repro.core.turbo import TurboKernel
 from repro.core.validate import validate_initial_population
 from repro.fitness.base import FitnessFunction
 from repro.obs.metrics import record_engine_run
+from repro.obs.profile import PhaseTimer
 from repro.rng.cellular_automaton import (
     DEFAULT_RULE_VECTOR,
     CAStreamBank,
@@ -163,9 +164,9 @@ class BatchBehavioralGA:
         generation boundary emits one ``ga.generation`` event whose
         ``best_fitness``/``fitness_sum`` attrs are per-replica lists, and
         one ``ga.phases`` event with the slab-wide wall time per phase.
-        The disabled path (the default) executes the exact uninstrumented
-        slot loop — one flag check per generation is the whole cost, and
-        results are bit-identical either way.
+        Traced and untraced runs share one slot loop; the phase laps sit
+        behind a flag hoisted out of it, and results are bit-identical
+        either way.
     mode:
         ``"exact"`` (default) walks offspring slots with the precomputed
         slot-outcome table, bit-identical to N serial runs.  ``"turbo"``
@@ -525,109 +526,68 @@ class BatchBehavioralGA:
         inds, fits = self._inds, self._fits
         best_ind, best_fit = self._best_ind, self._best_fit
         cur, consumed = self._cur, self._consumed
-        tracer = self.tracer
-        tracing = tracer is not None and tracer.enabled
+        tracing = self.tracer is not None and self.tracer.enabled
+        timer = PhaseTimer(self.tracer)
 
         n_pairs = (pop - 1) // 2
         has_tail = (pop - 1) % 2 == 1
 
         for gen in range(self._gen + 1, self._gen + todo + 1):
             if tracing:
-                ph = {"selection": 0.0, "crossover": 0.0, "mutation": 0.0,
-                      "eval": 0.0, "elitism": 0.0, "record": 0.0}
-                t = perf_counter()
+                timer.start()
             cum = fits.cumsum(axis=1)
             total = cum[:, -1:]  # (n, 1) for broadcasting over both parents
             flat = (cum + self._row_offsets).ravel()
             inds_flat = inds.ravel()
             new_inds = np.empty((n, pop), dtype=np.int64)
             if tracing:
-                now = perf_counter()
-                ph["selection"] += now - t
-                t = now
+                timer.lap("selection")
             new_inds[:, 0] = best_ind  # elitism
             if tracing:
-                now = perf_counter()
-                ph["elitism"] += now - t
-                t = now
+                timer.lap("elitism")
             col = 1
-            if not tracing:
-                # the uninstrumented hot loop, byte-identical to the PR 1
-                # engine: no per-slot branches on the disabled path
-                for _ in range(n_pairs + has_tail):
-                    tail = col == pop - 1
-                    R = slot_tt[cur] if single_class else slot_tt[class_idx, cur]
-                    # proportionate selection, both parents in one
-                    # searchsorted: threshold = (rn * sum) >> 16, first
-                    # member whose cumulative fitness exceeds it, last
-                    # member as the hardware fallback
-                    thresholds = (R[:, :2] * total) >> 16
-                    picks = np.minimum(
-                        flat.searchsorted(
-                            (thresholds + self._row_offsets).ravel(), side="right"
-                        ),
-                        self._sel_cap,
-                    )
-                    parents = inds_flat[picks]
-                    p1, p2 = parents[0::2], parents[1::2]
-                    # single-point crossover as an XOR update; XMASK is zero
-                    # when this slot's crossover decision failed
-                    diff = (p1 ^ p2) & R[:, _XMASK]
-                    new_inds[:, col] = (p1 ^ diff) ^ R[:, _M1BIT]
+            for _ in range(n_pairs + has_tail):
+                tail = col == pop - 1
+                R = slot_tt[cur] if single_class else slot_tt[class_idx, cur]
+                # proportionate selection, both parents in one searchsorted:
+                # threshold = (rn * sum) >> 16, first member whose cumulative
+                # fitness exceeds it, last member as the hardware fallback
+                thresholds = (R[:, :2] * total) >> 16
+                picks = np.minimum(
+                    flat.searchsorted(
+                        (thresholds + self._row_offsets).ravel(), side="right"
+                    ),
+                    self._sel_cap,
+                )
+                parents = inds_flat[picks]
+                p1, p2 = parents[0::2], parents[1::2]
+                if tracing:
+                    timer.lap("selection")
+                # single-point crossover as an XOR update; XMASK is zero when
+                # this slot's crossover decision failed
+                diff = (p1 ^ p2) & R[:, _XMASK]
+                c1 = p1 ^ diff
+                if tracing:
+                    timer.lap("crossover")
+                new_inds[:, col] = c1 ^ R[:, _M1BIT]
+                col += 1
+                if tail:
+                    consumed += R[:, _CONSUMED1]
+                    cur = R[:, _NEXT1]
+                else:
+                    # the second child's crossover XOR is timed as mutation
+                    new_inds[:, col] = (p2 ^ diff) ^ R[:, _M2BIT]
                     col += 1
-                    if tail:
-                        consumed += R[:, _CONSUMED1]
-                        cur = R[:, _NEXT1]
-                    else:
-                        new_inds[:, col] = (p2 ^ diff) ^ R[:, _M2BIT]
-                        col += 1
-                        consumed += R[:, _CONSUMED]
-                        cur = R[:, _NEXT]
-            else:
-                # the same slot loop with per-phase walls; every operation
-                # and its order is identical, only timestamps are added
-                for _ in range(n_pairs + has_tail):
-                    tail = col == pop - 1
-                    R = slot_tt[cur] if single_class else slot_tt[class_idx, cur]
-                    thresholds = (R[:, :2] * total) >> 16
-                    picks = np.minimum(
-                        flat.searchsorted(
-                            (thresholds + self._row_offsets).ravel(), side="right"
-                        ),
-                        self._sel_cap,
-                    )
-                    parents = inds_flat[picks]
-                    p1, p2 = parents[0::2], parents[1::2]
-                    now = perf_counter()
-                    ph["selection"] += now - t
-                    t = now
-                    diff = (p1 ^ p2) & R[:, _XMASK]
-                    c1 = p1 ^ diff
-                    c2 = p2 ^ diff
-                    now = perf_counter()
-                    ph["crossover"] += now - t
-                    t = now
-                    new_inds[:, col] = c1 ^ R[:, _M1BIT]
-                    col += 1
-                    if tail:
-                        consumed += R[:, _CONSUMED1]
-                        cur = R[:, _NEXT1]
-                    else:
-                        new_inds[:, col] = c2 ^ R[:, _M2BIT]
-                        col += 1
-                        consumed += R[:, _CONSUMED]
-                        cur = R[:, _NEXT]
-                    now = perf_counter()
-                    ph["mutation"] += now - t
-                    t = now
+                    consumed += R[:, _CONSUMED]
+                    cur = R[:, _NEXT]
+                if tracing:
+                    timer.lap("mutation")
             inds = new_inds
             # selection only reads the previous generation's fitness, so the
             # whole offspring generation is evaluated in one table gather
             fits = self._eval(inds)
             if tracing:
-                now = perf_counter()
-                ph["eval"] += now - t
-                t = now
+                timer.lap("eval")
             # column 0 stores the best *register* value, as the serial
             # engine's elitism copy does; identical to the table gather on
             # a healthy run, but a corrupted register must propagate the
@@ -642,16 +602,12 @@ class BatchBehavioralGA:
             best_fit = np.where(improved, gen_best, best_fit)
             best_ind = np.where(improved, inds[rows, best_idx], best_ind)
             if tracing:
-                now = perf_counter()
-                ph["elitism"] += now - t
-                t = now
+                timer.lap("elitism")
             self._record(
                 gen, fits, gen_best, inds[rows, best_idx], fits.sum(axis=1)
             )
             if tracing:
-                now = perf_counter()
-                ph["record"] += now - t
-                t = now
+                timer.lap("record")
             if self.resilience is not None:
                 inds, fits, best_ind, best_fit, cur = (
                     self.resilience.batch_boundary(
@@ -659,9 +615,9 @@ class BatchBehavioralGA:
                     )
                 )
                 if tracing:
-                    ph["scrub"] = perf_counter() - t
+                    timer.lap("scrub")
             if tracing:
-                tracer.event("ga.phases", generation=gen, phases=ph)
+                timer.emit(gen)
 
         # each generation evaluates pop - 1 new offspring (the elite is
         # copied with its stored fitness), exactly as the serial engine
@@ -693,27 +649,21 @@ class BatchBehavioralGA:
         inds, fits = self._inds, self._fits
         best_ind, best_fit = self._best_ind, self._best_fit
         self.bank.pos = self._cur % self.bank._size
-        tracer = self.tracer
-        tracing = tracer is not None and tracer.enabled
+        tracing = self.tracer is not None and self.tracer.enabled
+        timer = PhaseTimer(self.tracer)
 
         for gen in range(self._gen + 1, self._gen + todo + 1):
             if tracing:
-                ph = {"selection": 0.0, "crossover": 0.0, "mutation": 0.0,
-                      "eval": 0.0, "elitism": 0.0, "record": 0.0}
-                t = perf_counter()
+                timer.start()
             inds = kernel.generation(self.bank, inds, fits, best_ind)
             if tracing:
-                now = perf_counter()
                 # the fused kernel does selection+crossover+mutation in one
                 # pass; report it under "selection" with zero-filled peers
                 # so phase_breakdown keys stay stable across modes
-                ph["selection"] += now - t
-                t = now
+                timer.lap("selection")
             fits = self._eval(inds)
             if tracing:
-                now = perf_counter()
-                ph["eval"] += now - t
-                t = now
+                timer.lap("eval")
             fits[:, 0] = best_fit
             best_idx = fits.argmax(axis=1)
             gen_best = fits[rows, best_idx]
@@ -721,15 +671,13 @@ class BatchBehavioralGA:
             best_fit = np.where(improved, gen_best, best_fit)
             best_ind = np.where(improved, inds[rows, best_idx], best_ind)
             if tracing:
-                now = perf_counter()
-                ph["elitism"] += now - t
-                t = now
+                timer.lap("elitism")
             self._record(
                 gen, fits, gen_best, inds[rows, best_idx], fits.sum(axis=1)
             )
             if tracing:
-                ph["record"] += perf_counter() - t
-                tracer.event("ga.phases", generation=gen, phases=ph)
+                timer.lap("record")
+                timer.emit(gen)
 
         self.evaluations += todo * (self.pop - 1)
         self._gen += todo

@@ -17,6 +17,7 @@ left in Python.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from time import perf_counter
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.core.stats import GenerationStats
 from repro.core.validate import validate_initial_population
 from repro.fitness.base import FitnessFunction
 from repro.obs.metrics import record_engine_run
+from repro.obs.profile import PhaseTimer
 from repro.rng.base import RandomSource
 from repro.rng.cellular_automaton import (
     DEFAULT_RULE_VECTOR,
@@ -63,7 +65,7 @@ class BehavioralGA:
         spent in selection, crossover, mutation, and evaluation.
         Tracing never touches the RNG or the arithmetic, so a traced run
         is bit-identical to an untraced one; with the default ``None``
-        the only cost is one hoisted flag check per generation.
+        the only cost is the hoisted flag checks guarding each phase lap.
     mode:
         ``"exact"`` (default) runs the per-offspring loop below,
         draw-for-draw identical to the hardware.  ``"turbo"`` delegates to
@@ -149,6 +151,21 @@ class BehavioralGA:
                 fitness_sum=g.fitness_sum,
             )
 
+    def _run_span(self):
+        """The ``ga.run`` span of either mode; a no-op scope untraced."""
+        if self.tracer is None or not self.tracer.enabled:
+            return nullcontext()
+        turbo = {"mode": "turbo"} if self.mode == "turbo" else {}
+        return self.tracer.span(
+            "ga.run",
+            engine="behavioral",
+            **turbo,
+            fitness=self.fitness.name,
+            pop=self.params.population_size,
+            generations=self.params.n_generations,
+            seed=self.params.rng_seed,
+        )
+
     # ------------------------------------------------------------------
     def run(self, initial: np.ndarray | None = None):
         """Execute the full optimization cycle of Fig. 2; returns a
@@ -162,8 +179,6 @@ class BehavioralGA:
         FEM requests do.  The final population is kept in
         ``self.final_population``.
         """
-        from contextlib import nullcontext
-
         from repro.core.system import GAResult  # deferred: avoids cycle
 
         if self.mode == "turbo":
@@ -173,23 +188,11 @@ class BehavioralGA:
         table = self.table
         self.history = []
         self.evaluations = 0
-        tracer = self.tracer
-        tracing = tracer is not None and tracer.enabled
+        tracing = self.tracer is not None and self.tracer.enabled
+        timer = PhaseTimer(self.tracer)
         t_run = perf_counter()
 
-        run_scope = (
-            tracer.span(
-                "ga.run",
-                engine="behavioral",
-                fitness=self.fitness.name,
-                pop=pop,
-                generations=self.params.n_generations,
-                seed=self.params.rng_seed,
-            )
-            if tracing
-            else nullcontext()
-        )
-        with run_scope:
+        with self._run_span():
             if initial is not None:
                 inds = validate_initial_population(initial, (pop,))
             else:
@@ -207,9 +210,7 @@ class BehavioralGA:
 
             for gen in range(1, self.params.n_generations + 1):
                 if tracing:
-                    ph = {"selection": 0.0, "crossover": 0.0, "mutation": 0.0,
-                          "eval": 0.0, "elitism": 0.0, "record": 0.0}
-                    t = perf_counter()
+                    timer.start()
                 cum = np.cumsum(fits)
                 total = int(cum[-1])
                 new_inds = np.empty(pop, dtype=np.int64)
@@ -217,26 +218,18 @@ class BehavioralGA:
                 new_inds[0], new_fits[0] = best_ind, best_fit  # elitism
                 count = 1
                 if tracing:
-                    now = perf_counter()
-                    ph["elitism"] += now - t
-                    t = now
+                    timer.lap("elitism")
                 while count < pop:
                     p1 = int(inds[self._select(cum, total)])
                     p2 = int(inds[self._select(cum, total)])
                     if tracing:
-                        now = perf_counter()
-                        ph["selection"] += now - t
-                        t = now
+                        timer.lap("selection")
                     off1, off2 = self._crossover(p1, p2)
                     if tracing:
-                        now = perf_counter()
-                        ph["crossover"] += now - t
-                        t = now
+                        timer.lap("crossover")
                     off1 = self._mutate(off1)
                     if tracing:
-                        now = perf_counter()
-                        ph["mutation"] += now - t
-                        t = now
+                        timer.lap("mutation")
                     f1 = int(table[off1])
                     new_inds[count], new_fits[count] = off1, f1
                     count += 1
@@ -244,15 +237,11 @@ class BehavioralGA:
                     if f1 > best_fit:
                         best_ind, best_fit = off1, f1
                     if tracing:
-                        now = perf_counter()
-                        ph["eval"] += now - t
-                        t = now
+                        timer.lap("eval")
                     if count < pop:
                         off2 = self._mutate(off2)
                         if tracing:
-                            now = perf_counter()
-                            ph["mutation"] += now - t
-                            t = now
+                            timer.lap("mutation")
                         f2 = int(table[off2])
                         new_inds[count], new_fits[count] = off2, f2
                         count += 1
@@ -260,23 +249,19 @@ class BehavioralGA:
                         if f2 > best_fit:
                             best_ind, best_fit = off2, f2
                         if tracing:
-                            now = perf_counter()
-                            ph["eval"] += now - t
-                            t = now
+                            timer.lap("eval")
                 inds, fits = new_inds, new_fits
                 self._record(gen, inds, fits)
                 if tracing:
-                    now = perf_counter()
-                    ph["record"] += now - t
-                    t = now
+                    timer.lap("record")
                 if self.resilience is not None:
                     inds, fits, best_ind, best_fit = self.resilience.serial_boundary(
                         self, gen, inds, fits, best_ind, best_fit
                     )
                     if tracing:
-                        ph["scrub"] = perf_counter() - t
+                        timer.lap("scrub")
                 if tracing:
-                    tracer.event("ga.phases", generation=gen, phases=ph)
+                    timer.emit(gen)
 
         self.final_population = inds.copy()
         record_engine_run(
@@ -303,8 +288,6 @@ class BehavioralGA:
         serial attributes (``history``/``evaluations``/
         ``final_population``).
         """
-        from contextlib import nullcontext
-
         from repro.core.batch import BatchBehavioralGA  # deferred: avoids cycle
 
         rng = self.rng
@@ -330,21 +313,7 @@ class BehavioralGA:
             tracer=self.tracer,
             mode="turbo",
         )
-        tracer = self.tracer
-        run_scope = (
-            tracer.span(
-                "ga.run",
-                engine="behavioral",
-                mode="turbo",
-                fitness=self.fitness.name,
-                pop=pop,
-                generations=self.params.n_generations,
-                seed=self.params.rng_seed,
-            )
-            if tracer is not None and tracer.enabled
-            else nullcontext()
-        )
-        with run_scope:
+        with self._run_span():
             (result,) = batch.run(initial=initial)
         self.history = batch.histories[0]
         self.evaluations = int(batch.evaluations[0])

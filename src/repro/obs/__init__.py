@@ -8,7 +8,8 @@ One package gives every layer of the stack the same three probe kinds:
 * :mod:`repro.obs.metrics` — process-wide counters/gauges/histograms
   (the engine aggregates behind ``repro stats`` and the substrate the
   service metrics are built on);
-* :mod:`repro.obs.profile` — :class:`ProfileScope` timed sections and a
+* :mod:`repro.obs.profile` — :class:`ProfileScope` timed sections, the
+  engines' per-generation :class:`PhaseTimer`, and a
   :class:`SamplingProfiler` wall-clock stack sampler;
 * :mod:`repro.obs.analyze` — reconstruction helpers turning a trace
   stream back into paper artefacts (Fig. 8 convergence series, phase
@@ -16,8 +17,8 @@ One package gives every layer of the stack the same three probe kinds:
 
 The whole layer is zero-cost when disabled: the default tracer is the
 no-op :data:`NULL_TRACER`, engines hoist a single ``enabled`` check out
-of their hot loops, and a run without tracing is bit-identical to (and
-within measurement noise of) an uninstrumented one.
+of their hot loops and guard every probe with it, and a traced run is
+bit-identical to an untraced one.
 """
 
 from repro.obs.analyze import (
@@ -43,7 +44,7 @@ from repro.obs.metrics import (
     record_archipelago_run,
     record_engine_run,
 )
-from repro.obs.profile import ProfileScope, SamplingProfiler
+from repro.obs.profile import PhaseTimer, ProfileScope, SamplingProfiler
 from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
@@ -73,6 +74,7 @@ __all__ = [
     "engine_rates",
     "record_archipelago_run",
     "archipelago_rates",
+    "PhaseTimer",
     "ProfileScope",
     "SamplingProfiler",
     "events",

@@ -28,19 +28,9 @@ Engine counter names (the ``repro stats`` vocabulary)::
     resilience.rollbacks        checkpoint rollbacks
     profile.service.slab_chunk  histogram of slab-chunk wall time
 
-The serving layer adds a fault-tolerance vocabulary on its private
-registry (surfaced as the ``faults`` section of the service snapshot)::
-
-    service.chunks.retried      chunk dispatches re-executed after a fault
-    service.chunks.timed_out    chunks failed by the hung-chunk watchdog
-    service.pool.respawns       process-pool respawns after worker death
-    service.jobs.shed           jobs rejected by overload shedding
-    service.jobs.cancelled      jobs cancelled (handle or disconnect)
-    service.jobs.deadline_enforced  jobs failed by an enforced deadline
-    service.jobs.resumed        jobs reclaimed from spilled checkpoints
-    service.slabs.checkpointed  slab checkpoints written to the spill dir
-    service.connections.dropped TCP connections dropped by chaos/fault
-    service.recovery_latency_s  histogram of fault-to-recovery wall time
+The serving layer's instruments (job, queue, batching, fault-tolerance and
+run-store cache counters on its private registry) are the rows of
+:data:`repro.service.metrics.INSTRUMENTS`.
 """
 
 from __future__ import annotations

@@ -6,6 +6,9 @@ tracer span).  The serving layer wraps every slab chunk in one, so
 ``repro stats`` can report the chunk-time distribution without any
 tracing armed.
 
+:class:`PhaseTimer` splits one GA generation into the paper's datapath
+phases for the behavioural engines' per-generation ``ga.phases`` event.
+
 :class:`SamplingProfiler` answers the *where do cycles go* question the
 paper answers with post-P&R timing reports: a daemon thread samples the
 target thread's Python stack at a fixed interval and aggregates frame
@@ -59,6 +62,39 @@ class ProfileScope:
             self._span.__exit__(exc_type, exc, tb)
             self._span = None
 
+
+#: the phase keys every ``ga.phases`` event carries, zero when unused
+GA_PHASES = ("selection", "crossover", "mutation", "eval", "elitism", "record")
+
+
+class PhaseTimer:
+    """Per-generation phase walls behind the ``ga.phases`` event.
+
+    ``start()`` opens a generation with every :data:`GA_PHASES` key at
+    zero, ``lap(phase)`` adds the time since the previous lap (or the
+    start) to ``phase``, and ``emit(generation)`` writes the event.  A
+    phase outside the six (the resilience ``scrub``) appears only once
+    lapped.  Engines call it only under their hoisted ``tracing`` flag.
+    """
+
+    __slots__ = ("tracer", "phases", "_t")
+
+    def __init__(self, tracer):
+        self.tracer = tracer
+        self.phases: dict[str, float] = {}
+        self._t = 0.0
+
+    def start(self) -> None:
+        self.phases = dict.fromkeys(GA_PHASES, 0.0)
+        self._t = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.phases[phase] = self.phases.get(phase, 0.0) + now - self._t
+        self._t = now
+
+    def emit(self, generation: int) -> None:
+        self.tracer.event("ga.phases", generation=generation, phases=self.phases)
 
 class SamplingProfiler:
     """Wall-clock stack sampler for one thread.

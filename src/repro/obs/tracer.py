@@ -16,9 +16,8 @@ Zero cost when disabled
 The process-wide default tracer is :data:`NULL_TRACER`, whose ``enabled``
 flag is False and whose methods are no-ops.  Instrumented call sites hoist
 one check (``tracing = tracer is not None and tracer.enabled``) out of
-their hot loops; per-iteration work happens only under that flag, so a
-run without tracing executes the exact pre-instrumentation code path (the
-bit-identity and <2 % overhead guarantees are locked down in
+their hot loops; per-iteration probe work happens only under that flag
+(the bit-identity and <2 % overhead guarantees are locked down in
 ``tests/obs/`` and ``benchmarks/bench_obs_overhead.py``).
 
 Record schema (one JSON object per line)::

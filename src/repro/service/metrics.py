@@ -2,31 +2,118 @@
 
 One :class:`ServiceMetrics` instance rides along the whole service stack;
 every touchpoint (submit, dispatch, chunk completion, job completion)
-records into it, and :meth:`snapshot` renders the JSON-ready view that
-``bench_service_throughput.py`` dumps into ``BENCH_results.json`` and
-``repro serve`` exposes over the wire.
+records into it, and :meth:`~ServiceMetrics.snapshot` renders the
+JSON-ready view that ``bench_service_throughput.py`` dumps into
+``BENCH_results.json`` and ``repro serve`` exposes over the wire.
 
-Since the observability layer landed, the counters/gauges/histograms live
-in a private :class:`~repro.obs.metrics.MetricsRegistry` (private so that
+Every instrument is stated once, as a row of :data:`INSTRUMENTS` over a
+private :class:`~repro.obs.metrics.MetricsRegistry` (private so that
 independent service instances — and tests asserting exact totals — never
-share state with the process-wide engine registry).  The public surface is
-unchanged: the same recording hooks, the same readable attributes
-(``submitted`` … ``generations_executed``, ``latencies_s``/``waits_s``),
-and a :meth:`snapshot` with the same key structure.
+share state with the process-wide engine registry).  A row names the
+attribute that reads the instrument, its registry name, where the
+snapshot shows it, and the recording hook that drives it alone.
 """
 
 from __future__ import annotations
 
 import json
-import time
+from typing import NamedTuple
 
 from repro.obs.metrics import MetricsRegistry, percentile
 
-__all__ = ["ServiceMetrics", "percentile"]
+__all__ = ["INSTRUMENTS", "ServiceMetrics", "percentile"]
+
+
+class Instrument(NamedTuple):
+    """One service instrument: ``read`` is the attribute returning its
+    value, ``kind`` a key of :data:`KINDS`, ``name`` its registry name,
+    ``where`` its snapshot ``(section, key)`` and ``hook`` the attribute
+    that records into it (the counter's ``inc``, the gauge's ``set``, the
+    histogram's ``observe``)."""
+
+    read: str
+    kind: str
+    name: str
+    where: tuple[str, str] | None = None
+    hook: str | None = None
+
+
+#: kind -> (registry family, read of the instrument, recording method);
+#: ``peak`` reads a gauge's remembered maximum
+KINDS = {
+    "counter": ("counter", lambda c: c.value, "inc"),
+    "total": ("counter", lambda c: float(c.value), "inc"),
+    "gauge": ("gauge", lambda g: int(g.value), "set"),
+    "peak": ("gauge", lambda g: int(g.max), "set"),
+    "samples": ("histogram", lambda h: h.samples, "observe"),
+}
+
+INSTRUMENTS = tuple(Instrument(*row) for row in (
+    ("submitted", "counter", "service.jobs.submitted", ("jobs", "submitted")),
+    ("completed", "counter", "service.jobs.completed", ("jobs", "completed")),
+    ("failed", "counter", "service.jobs.failed", ("jobs", "failed"), "job_failed"),
+    ("rejected", "counter", "service.jobs.rejected", ("jobs", "rejected"),
+     "job_rejected"),
+    ("queue_depth", "gauge", "service.queue_depth", ("queue", "depth"),
+     "queue_drained_to"),
+    ("max_queue_depth", "peak", "service.queue_depth", ("queue", "max_depth")),
+    ("chunks", "counter", "service.chunks", ("batching", "chunks")),
+    ("chunk_occupancy_sum", "total", "service.chunk_occupancy_sum"),
+    ("max_occupancy", "peak", "service.chunk_occupancy",
+     ("batching", "max_occupancy")),
+    ("generations_executed", "counter", "service.generations_executed"),
+    ("latencies_s", "samples", "service.job_latency_s"),
+    ("waits_s", "samples", "service.job_wait_s"),
+    # fault tolerance: retry / watchdog / shedding / checkpoint-resume (see
+    # docs/architecture.md "Fault tolerance")
+    ("retries", "counter", "service.chunks.retried", ("faults", "chunk_retries"),
+     "chunk_retried"),
+    ("timeouts", "counter", "service.chunks.timed_out",
+     ("faults", "chunk_timeouts"), "chunk_timed_out"),
+    ("respawns", "counter", "service.pool.respawns", ("faults", "pool_respawns"),
+     "pool_respawned"),
+    ("shed", "counter", "service.jobs.shed", ("faults", "jobs_shed"), "job_shed"),
+    ("cancelled", "counter", "service.jobs.cancelled",
+     ("faults", "jobs_cancelled"), "job_cancelled"),
+    ("deadline_enforced", "counter", "service.jobs.deadline_enforced",
+     ("faults", "deadlines_enforced"), "job_deadline_enforced"),
+    ("checkpoints", "counter", "service.slabs.checkpointed",
+     ("faults", "slabs_checkpointed"), "slab_checkpointed"),
+    ("resumed", "counter", "service.jobs.resumed", ("faults", "jobs_resumed"),
+     "jobs_resumed"),
+    ("dropped_connections", "counter", "service.connections.dropped",
+     ("faults", "connections_dropped"), "connection_dropped"),
+    # fault-to-recovery wall time: from a slab's first unrecovered chunk
+    # failure to its next completed chunk
+    ("recoveries_s", "samples", "service.recovery_latency_s", None,
+     "chunk_recovered"),
+    # run-store cache: admission lookups, in-flight coalescing, completion
+    # write-backs (see docs/architecture.md "Content-addressed run store")
+    ("cache_hits", "counter", "service.cache.hits", ("cache", "hits"),
+     "cache_hit"),
+    ("cache_misses", "counter", "service.cache.misses", ("cache", "misses"),
+     "cache_miss"),
+    ("coalesced", "counter", "service.cache.coalesced", ("cache", "coalesced"),
+     "job_coalesced"),
+    ("cache_writes", "counter", "service.cache.writes", ("cache", "writes"),
+     "cache_written"),
+))
+
+_READS = {row.read: row for row in INSTRUMENTS}
+_HOOKS = {row.hook: row for row in INSTRUMENTS if row.hook is not None}
+
+
+def _ms(seconds: float) -> float:
+    return round(seconds * 1e3, 3)
 
 
 class ServiceMetrics:
-    """Thread-safe counters and gauges for one service lifetime."""
+    """Thread-safe counters and gauges for one service lifetime.
+
+    Each :data:`INSTRUMENTS` row's ``read`` and ``hook`` resolve as
+    attributes; the hooks below are the ones that touch more than one
+    instrument.
+    """
 
     #: cap on per-job latency samples kept for the percentile estimates
     MAX_SAMPLES = 100_000
@@ -34,295 +121,92 @@ class ServiceMetrics:
     def __init__(self, max_batch: int = 1):
         self.max_batch = max(1, max_batch)
         reg = self._registry = MetricsRegistry()
-        self._submitted = reg.counter("service.jobs.submitted")
-        self._completed = reg.counter("service.jobs.completed")
-        self._failed = reg.counter("service.jobs.failed")
-        self._rejected = reg.counter("service.jobs.rejected")
-        self._chunks = reg.counter("service.chunks")
-        self._occupancy_sum = reg.counter("service.chunk_occupancy_sum")
-        self._generations = reg.counter("service.generations_executed")
-        self._queue = reg.gauge("service.queue_depth")
-        self._occupancy = reg.gauge("service.chunk_occupancy")
-        self._latency = reg.histogram(
-            "service.job_latency_s", max_samples=self.MAX_SAMPLES
-        )
-        self._wait = reg.histogram(
-            "service.job_wait_s", max_samples=self.MAX_SAMPLES
-        )
-        # fault-tolerance instruments (retry / watchdog / shedding /
-        # checkpoint-resume; see docs/architecture.md "Fault tolerance")
-        self._shed = reg.counter("service.jobs.shed")
-        self._cancelled = reg.counter("service.jobs.cancelled")
-        self._deadline_enforced = reg.counter("service.jobs.deadline_enforced")
-        self._retries = reg.counter("service.chunks.retried")
-        self._timeouts = reg.counter("service.chunks.timed_out")
-        self._respawns = reg.counter("service.pool.respawns")
-        self._checkpoints = reg.counter("service.slabs.checkpointed")
-        self._resumed = reg.counter("service.jobs.resumed")
-        self._dropped_connections = reg.counter(
-            "service.connections.dropped"
-        )
-        self._recovery = reg.histogram(
-            "service.recovery_latency_s", max_samples=self.MAX_SAMPLES
-        )
-        # run-store cache instruments (admission lookups, in-flight
-        # coalescing, completion write-backs; see docs/architecture.md
-        # "Content-addressed run store")
-        self._cache_hits = reg.counter("service.cache.hits")
-        self._cache_misses = reg.counter("service.cache.misses")
-        self._coalesced = reg.counter("service.cache.coalesced")
-        self._cache_writes = reg.counter("service.cache.writes")
+        self._inst = {}
+        for row in INSTRUMENTS:
+            family, _, _ = KINDS[row.kind]
+            args = (self.MAX_SAMPLES,) if family == "histogram" else ()
+            self._inst[row.read] = getattr(reg, family)(row.name, *args)
 
-    # -- recording hooks ------------------------------------------------
+    def __getattr__(self, name: str):
+        if not name.startswith("_"):
+            row = _READS.get(name)
+            if row is not None:
+                _, read, _ = KINDS[row.kind]
+                return read(self._inst[name])
+            row = _HOOKS.get(name)
+            if row is not None:
+                _, _, record = KINDS[row.kind]
+                return getattr(self._inst[row.read], record)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    # -- multi-instrument hooks -----------------------------------------
     def job_submitted(self, depth: int) -> None:
-        self._submitted.inc()
-        self._queue.set(depth)
-
-    def job_rejected(self) -> None:
-        self._rejected.inc()
-
-    def queue_drained_to(self, depth: int) -> None:
-        self._queue.set(depth)
+        self._inst["submitted"].inc()
+        self._inst["queue_depth"].set(depth)
 
     def chunk_dispatched(self, n_entries: int, chunk_gens: int) -> None:
-        self._chunks.inc()
-        self._occupancy_sum.inc(n_entries / self.max_batch)
-        self._occupancy.set(n_entries)
-        self._generations.inc(n_entries * chunk_gens)
+        inst = self._inst
+        inst["chunks"].inc()
+        inst["chunk_occupancy_sum"].inc(n_entries / self.max_batch)
+        inst["max_occupancy"].set(n_entries)
+        inst["generations_executed"].inc(n_entries * chunk_gens)
 
     def job_completed(self, latency_s: float, wait_s: float) -> None:
-        self._completed.inc()
-        self._latency.observe(latency_s)
-        self._wait.observe(wait_s)
+        self._inst["completed"].inc()
+        self._inst["latencies_s"].observe(latency_s)
+        self._inst["waits_s"].observe(wait_s)
 
-    def job_failed(self) -> None:
-        self._failed.inc()
-
-    def job_shed(self) -> None:
-        self._shed.inc()
-
-    def job_cancelled(self) -> None:
-        self._cancelled.inc()
-
-    def job_deadline_enforced(self) -> None:
-        self._deadline_enforced.inc()
-
-    def chunk_retried(self, n_jobs: int) -> None:
-        self._retries.inc()
-
-    def chunk_timed_out(self) -> None:
-        self._timeouts.inc()
-
-    def pool_respawned(self) -> None:
-        self._respawns.inc()
-
-    def slab_checkpointed(self) -> None:
-        self._checkpoints.inc()
-
-    def jobs_resumed(self, n_jobs: int) -> None:
-        self._resumed.inc(n_jobs)
-
-    def connection_dropped(self) -> None:
-        self._dropped_connections.inc()
-
-    def cache_hit(self) -> None:
-        """A submission was served straight from the run store."""
-        self._cache_hits.inc()
-
-    def cache_miss(self) -> None:
-        """A store lookup found nothing; the job runs cold."""
-        self._cache_misses.inc()
-
-    def job_coalesced(self) -> None:
-        """A duplicate submission rode an identical in-flight job."""
-        self._coalesced.inc()
-
-    def cache_written(self) -> None:
-        """A completed result was written back to the run store."""
-        self._cache_writes.inc()
-
-    def chunk_recovered(self, recovery_latency_s: float) -> None:
-        """A previously failed slab completed a chunk again; the latency
-        runs from the first unrecovered failure to this success."""
-        self._recovery.observe(recovery_latency_s)
-
-    # -- readable attributes (the pre-registry public surface) ----------
-    @property
-    def started_at(self) -> float:
-        return self._registry.started_at
-
-    @property
-    def submitted(self) -> int:
-        return self._submitted.value
-
-    @property
-    def completed(self) -> int:
-        return self._completed.value
-
-    @property
-    def failed(self) -> int:
-        return self._failed.value
-
-    @property
-    def rejected(self) -> int:
-        return self._rejected.value
-
-    @property
-    def queue_depth(self) -> int:
-        return int(self._queue.value)
-
-    @property
-    def max_queue_depth(self) -> int:
-        return int(self._queue.max)
-
-    @property
-    def chunks(self) -> int:
-        return self._chunks.value
-
-    @property
-    def chunk_occupancy_sum(self) -> float:
-        return float(self._occupancy_sum.value)
-
-    @property
-    def max_occupancy(self) -> int:
-        return int(self._occupancy.max)
-
-    @property
-    def generations_executed(self) -> int:
-        return self._generations.value
-
-    @property
-    def shed(self) -> int:
-        return self._shed.value
-
-    @property
-    def cancelled(self) -> int:
-        return self._cancelled.value
-
-    @property
-    def deadline_enforced(self) -> int:
-        return self._deadline_enforced.value
-
-    @property
-    def retries(self) -> int:
-        return self._retries.value
-
-    @property
-    def timeouts(self) -> int:
-        return self._timeouts.value
-
-    @property
-    def respawns(self) -> int:
-        return self._respawns.value
-
-    @property
-    def checkpoints(self) -> int:
-        return self._checkpoints.value
-
-    @property
-    def resumed(self) -> int:
-        return self._resumed.value
-
-    @property
-    def dropped_connections(self) -> int:
-        return self._dropped_connections.value
-
-    @property
-    def cache_hits(self) -> int:
-        return self._cache_hits.value
-
-    @property
-    def cache_misses(self) -> int:
-        return self._cache_misses.value
-
-    @property
-    def coalesced(self) -> int:
-        return self._coalesced.value
-
-    @property
-    def cache_writes(self) -> int:
-        return self._cache_writes.value
-
-    def generations_rate(self) -> float:
-        """Observed generations/second over the service lifetime (0.0
-        before any chunk completes) — the backlog-time estimator's
-        denominator."""
-        uptime = max(time.monotonic() - self.started_at, 1e-9)
-        return self.generations_executed / uptime
-
-    @property
-    def latencies_s(self) -> list[float]:
-        return self._latency.samples
-
-    @property
-    def waits_s(self) -> list[float]:
-        return self._wait.samples
-
+    # -- derived reads ----------------------------------------------------
     @property
     def registry(self) -> MetricsRegistry:
         """The backing (private) registry, for raw-instrument access."""
         return self._registry
 
+    @property
+    def started_at(self) -> float:
+        return self._registry.started_at
+
+    def generations_rate(self) -> float:
+        """Observed generations/second over the service lifetime (0.0
+        before any chunk completes) — the backlog-time estimator's
+        denominator."""
+        return self.generations_executed / self._registry.uptime_s
+
     # -- reporting ------------------------------------------------------
     def snapshot(self) -> dict:
         """The full service state as a plain JSON-serializable dict."""
-        uptime = max(time.monotonic() - self.started_at, 1e-9)
-        lat = self._latency.summary()
-        rec = self._recovery.summary()
-        chunks = self.chunks
-        return {
-            "uptime_s": round(uptime, 3),
-            "jobs": {
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "failed": self.failed,
-                "rejected": self.rejected,
-                "pending": self.queue_depth,
-            },
-            "queue": {
-                "depth": self.queue_depth,
-                "max_depth": self.max_queue_depth,
-            },
-            "batching": {
-                "chunks": chunks,
-                "max_batch": self.max_batch,
-                "mean_occupancy": round(self.chunk_occupancy_sum / chunks, 4)
-                if chunks
-                else 0.0,
-                "max_occupancy": self.max_occupancy,
-            },
-            "latency": {
-                "p50_ms": round(lat["p50"] * 1e3, 3),
-                "p95_ms": round(lat["p95"] * 1e3, 3),
-                "max_ms": round(lat["max"] * 1e3, 3),
-                "mean_wait_ms": round(self._wait.mean * 1e3, 3),
-            },
-            "throughput": {
-                "jobs_per_s": round(self.completed / uptime, 3),
-                "generations_per_s": round(
-                    self.generations_executed / uptime, 1
-                ),
-            },
-            "faults": {
-                "chunk_retries": self.retries,
-                "chunk_timeouts": self.timeouts,
-                "pool_respawns": self.respawns,
-                "jobs_shed": self.shed,
-                "jobs_cancelled": self.cancelled,
-                "deadlines_enforced": self.deadline_enforced,
-                "slabs_checkpointed": self.checkpoints,
-                "jobs_resumed": self.resumed,
-                "connections_dropped": self.dropped_connections,
-                "recovery_p50_ms": round(rec["p50"] * 1e3, 3),
-                "recovery_p95_ms": round(rec["p95"] * 1e3, 3),
-            },
-            "cache": {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "coalesced": self.coalesced,
-                "writes": self.cache_writes,
-            },
+        inst = self._inst
+        uptime = self._registry.uptime_s
+        snap = {"uptime_s": round(uptime, 3), "jobs": {}, "queue": {},
+                "batching": {}, "latency": {}, "throughput": {}, "faults": {},
+                "cache": {}}
+        for row in INSTRUMENTS:
+            if row.where is not None:
+                section, key = row.where
+                snap[section][key] = getattr(self, row.read)
+        chunks = snap["batching"]["chunks"]
+        lat = inst["latencies_s"].summary()
+        rec = inst["recoveries_s"].summary()
+        snap["jobs"]["pending"] = snap["queue"]["depth"]
+        snap["batching"]["max_batch"] = self.max_batch
+        snap["batching"]["mean_occupancy"] = (
+            round(self.chunk_occupancy_sum / chunks, 4) if chunks else 0.0
+        )
+        snap["latency"] = {
+            "p50_ms": _ms(lat["p50"]),
+            "p95_ms": _ms(lat["p95"]),
+            "max_ms": _ms(lat["max"]),
+            "mean_wait_ms": _ms(inst["waits_s"].mean),
         }
+        snap["throughput"] = {
+            "jobs_per_s": round(snap["jobs"]["completed"] / uptime, 3),
+            "generations_per_s": round(self.generations_executed / uptime, 1),
+        }
+        snap["faults"]["recovery_p50_ms"] = _ms(rec["p50"])
+        snap["faults"]["recovery_p95_ms"] = _ms(rec["p95"])
+        return snap
 
     def to_json(self, path: str | None = None) -> str:
         """Render the snapshot as JSON; optionally also write it to a file."""

@@ -704,7 +704,7 @@ class Scheduler:
             for r in slab.entries
         )
         self._parked.append((now + delay, slab))
-        self.metrics.chunk_retried(len(slab.entries))
+        self.metrics.chunk_retried()
         log.warning(
             "retrying slab %d (%d jobs) in %.3fs after %r",
             slab.slab_id,

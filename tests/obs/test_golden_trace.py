@@ -94,6 +94,50 @@ def test_batch_bit_identity():
     assert np.array_equal(base.rng_states, traced.rng_states)
 
 
+# -- batch phase events ---------------------------------------------------
+BATCH_PARAMS = [PARAMS.with_(rng_seed=s) for s in (0x061F, 0x2961)]
+PHASES = {"selection", "crossover", "mutation", "eval", "elitism", "record"}
+
+
+def test_batch_phase_events_one_per_generation():
+    tracer = Tracer()
+    BatchBehavioralGA(
+        BATCH_PARAMS, FN, record_members=False, tracer=tracer
+    ).run()
+    phases = events(tracer.records, "ga.phases")
+    assert [e["generation"] for e in phases] == list(
+        range(1, PARAMS.n_generations + 1)
+    )
+    assert all(set(e["phases"]) == PHASES for e in phases)
+    totals = phase_breakdown(tracer.records)
+    assert totals["crossover"] > 0 and totals["mutation"] > 0
+
+
+def test_batch_hardened_phases_scrub_and_bit_identity():
+    def hardened(tracer):
+        harness = ResilienceHarness(
+            PROTECTION_PRESETS["hardened"], UpsetRates.uniform(2e-3),
+            seed=2026, n_replicas=2, tracer=tracer,
+        )
+        batch = BatchBehavioralGA(
+            BATCH_PARAMS, FN, record_members=False, resilience=harness,
+            tracer=tracer,
+        )
+        return batch, batch.run()
+
+    base, r0 = hardened(None)
+    tracer = Tracer()
+    traced, r1 = hardened(tracer)
+    for a, b in zip(r0, r1):
+        assert history_rows(a) == history_rows(b)
+        assert (a.best_individual, a.best_fitness) == (b.best_individual, b.best_fitness)
+    assert np.array_equal(base.final_populations, traced.final_populations)
+    assert np.array_equal(base.rng_states, traced.rng_states)
+    phases = events(tracer.records, "ga.phases")
+    assert len(phases) == PARAMS.n_generations
+    assert all(set(e["phases"]) == PHASES | {"scrub"} for e in phases)
+
+
 def test_cycle_accurate_bit_identity_and_trace():
     params = PARAMS.with_(n_generations=8, population_size=16)
     tracer = Tracer()

@@ -260,3 +260,99 @@ def test_to_json_writes_file(tmp_path):
     text = metrics.to_json(str(path))
     assert json.loads(text)["jobs"]["submitted"] == 0
     assert json.loads(path.read_text())["jobs"]["submitted"] == 0
+
+
+#: every read attribute of ServiceMetrics and its value after
+#: ``_record_every_hook_once`` — the full public read surface
+PINNED_READS = {
+    "submitted": 1, "completed": 1, "failed": 1, "rejected": 1,
+    "queue_depth": 2, "max_queue_depth": 3,
+    "chunks": 1, "chunk_occupancy_sum": 0.5, "max_occupancy": 4,
+    "generations_executed": 64,
+    "shed": 1, "cancelled": 1, "deadline_enforced": 1, "retries": 1,
+    "timeouts": 1, "respawns": 1, "checkpoints": 1, "resumed": 3,
+    "dropped_connections": 1,
+    "cache_hits": 1, "cache_misses": 1, "coalesced": 1, "cache_writes": 1,
+    "latencies_s": [0.25], "waits_s": [0.125],
+}
+
+
+def _record_every_hook_once() -> ServiceMetrics:
+    metrics = ServiceMetrics(max_batch=8)
+    metrics.job_submitted(depth=3)
+    metrics.job_rejected()
+    metrics.queue_drained_to(2)
+    metrics.chunk_dispatched(n_entries=4, chunk_gens=16)
+    metrics.job_completed(latency_s=0.25, wait_s=0.125)
+    metrics.job_failed()
+    metrics.job_shed()
+    metrics.job_cancelled()
+    metrics.job_deadline_enforced()
+    try:
+        metrics.chunk_retried()
+    except TypeError:  # the older chunk_retried(n_jobs) ignored its argument
+        metrics.chunk_retried(2)
+    metrics.chunk_timed_out()
+    metrics.pool_respawned()
+    metrics.slab_checkpointed()
+    metrics.jobs_resumed(3)
+    metrics.connection_dropped()
+    metrics.cache_hit()
+    metrics.cache_miss()
+    metrics.job_coalesced()
+    metrics.cache_written()
+    metrics.chunk_recovered(0.5)
+    return metrics
+
+
+def test_service_metrics_snapshot_pins_every_key_and_counter():
+    snap = _record_every_hook_once().snapshot()
+    assert snap.pop("uptime_s") >= 0
+    assert set(snap.pop("throughput")) == {"jobs_per_s", "generations_per_s"}
+    assert snap == {
+        "jobs": {
+            "submitted": 1, "completed": 1, "failed": 1, "rejected": 1,
+            "pending": 2,
+        },
+        "queue": {"depth": 2, "max_depth": 3},
+        "batching": {
+            "chunks": 1, "max_batch": 8, "mean_occupancy": 0.5,
+            "max_occupancy": 4,
+        },
+        "latency": {
+            "p50_ms": 250.0, "p95_ms": 250.0, "max_ms": 250.0,
+            "mean_wait_ms": 125.0,
+        },
+        "faults": {
+            "chunk_retries": 1, "chunk_timeouts": 1, "pool_respawns": 1,
+            "jobs_shed": 1, "jobs_cancelled": 1, "deadlines_enforced": 1,
+            "slabs_checkpointed": 1, "jobs_resumed": 3,
+            "connections_dropped": 1,
+            "recovery_p50_ms": 500.0, "recovery_p95_ms": 500.0,
+        },
+        "cache": {"hits": 1, "misses": 1, "coalesced": 1, "writes": 1},
+    }
+
+
+def test_service_metrics_reads_pin_every_instrument():
+    metrics = _record_every_hook_once()
+    assert {name: getattr(metrics, name) for name in PINNED_READS} == PINNED_READS
+    assert isinstance(metrics.chunk_occupancy_sum, float)
+    assert all(
+        type(getattr(metrics, name)) is int
+        for name in ("queue_depth", "max_queue_depth", "max_occupancy")
+    )
+
+
+def test_instrument_table_resolves_reads_and_hooks():
+    from repro.service.metrics import INSTRUMENTS
+
+    metrics = _record_every_hook_once()
+    assert {row.read for row in INSTRUMENTS} == set(PINNED_READS) | {
+        "recoveries_s"
+    }
+    assert metrics.recoveries_s == [0.5]
+    assert all(callable(getattr(metrics, row.hook))
+               for row in INSTRUMENTS if row.hook is not None)
+    with pytest.raises(AttributeError):
+        metrics.no_such_instrument
