@@ -1,19 +1,19 @@
-"""Vectorized archipelago throughput — one slab vs the legacy epoch loop.
+"""Vectorized archipelago throughput — one slab vs the reference epoch loop.
 
 A 256-island run with fine-grained migration (every generation — the
 worst case for per-epoch Python overhead, and the cadence the ROADMAP's
 "thousands of islands" item targets) is timed three ways:
 
-* the legacy epoch loop (``IslandGA.run_epoch_loop``, the pre-archipelago
-  in-process path): one fresh ``BatchBehavioralGA`` — parameter
-  list, stream bank, slot tables — constructed per epoch, plus a
-  per-island Python migration loop;
+* the reference epoch loop (``VectorIslandGA.run_epoch_loop``, the
+  pre-archipelago in-process path): one fresh ``BatchBehavioralGA`` —
+  parameter list, stream bank, slot tables — constructed per epoch,
+  plus a per-edge Python migration loop;
 * the vectorized archipelago (``VectorIslandGA``, exact mode): one
   resumable slab carried across all epochs, migration as an array
   scatter;
 * the same slab in turbo mode (the vectorised generation kernel).
 
-The exact-mode results are asserted bit-identical to the legacy loop
+The exact-mode results are asserted bit-identical to the reference loop
 (the conformance suite property, re-checked on the benchmarked shape and
 on a 1000-island run), and the exact-mode speedup is asserted >= 5x —
 the archipelago refactor's headline number.  Both ratios land in
@@ -28,7 +28,7 @@ from conftest import print_table
 from repro.core.params import GAParameters
 from repro.fitness.functions import by_name
 from repro.parallel.archipelago import VectorIslandGA
-from repro.parallel.islands import IslandGA
+from repro.parallel import IslandGA
 
 N_ISLANDS = 256
 POP = 16

@@ -30,9 +30,9 @@ def validate_island_params(
     """Check island-model parameters with named errors.
 
     The same contract is enforced — via this one helper, so the messages
-    cannot drift — by :class:`~repro.parallel.islands.IslandGA`,
-    :class:`~repro.parallel.archipelago.VectorIslandGA`, the service wire
-    layer (:class:`~repro.service.jobs.GARequest`), and the CLI.
+    cannot drift — by :class:`~repro.parallel.archipelago.VectorIslandGA`
+    (alias ``IslandGA``), the service wire layer
+    (:class:`~repro.service.jobs.GARequest`), and the CLI.
     ``n_islands == 1`` is the degenerate single-population archipelago
     (no migration edges), which is how a non-island job is encoded on the
     wire.

@@ -3,12 +3,14 @@
 The related-work section cites pipelined/parallel hardware GA architectures
 [11]-[13]; the natural multi-core analogue of "several GA cores on one
 fabric" is the island model: independent GA engines with periodic best-
-individual migration.  :mod:`repro.parallel.archipelago` runs the whole
-archipelago as one batched slab; :mod:`repro.parallel.islands` keeps the
-``IslandGA`` front end and its per-epoch reference loop.
+individual migration.  :mod:`repro.parallel.archipelago` holds it:
+``VectorIslandGA`` (alias ``IslandGA``) runs the whole archipelago as one
+batched slab, with a per-epoch reference loop beside it.
 """
 
 from repro.parallel.archipelago import (
+    IslandGA,
+    IslandResult,
     MigrationTopology,
     VectorIslandGA,
     build_topology,
@@ -16,7 +18,6 @@ from repro.parallel.archipelago import (
     random_topology,
     torus_topology,
 )
-from repro.parallel.islands import IslandGA, IslandResult
 
 __all__ = [
     "IslandGA",

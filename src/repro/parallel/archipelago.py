@@ -1,35 +1,34 @@
-"""Vectorized archipelago: the whole island model as one batched slab.
+"""The island model: the whole archipelago as one batched slab.
 
-The legacy island loop (``IslandGA.run_epoch_loop`` in
-:mod:`repro.parallel.islands`) builds a fresh engine every epoch.  This
-module maps the archipelago onto a *single* resumable
+Models a fabric carrying several GA IP cores (Sec. II-B, the hybrid system
+of Fig. 5): ``n_islands`` behavioural engines evolve carried populations in
+epochs of ``migration_interval`` generations (a final partial epoch runs
+any remainder), and at every epoch boundary but the last, champions
+migrate over a programmable :class:`MigrationTopology`, each replacing a
+worst member of its destination.
+
+:meth:`VectorIslandGA.run` maps the archipelago onto *one* resumable
 :class:`~repro.core.batch.BatchBehavioralGA` whose replica axis is the
-island axis: one ``(islands, pop)`` population array, one multi-stream RNG
-bank, advanced ``migration_interval`` generations per :meth:`step`, which
-is the "many GA IP cores on one fabric" direction of Sec. II-B scaled the
-way Torquato & Fernandes run fully pipelined concurrent populations — and
-the (islands x pop x bits) layout a future GPU/array backend needs.
+island axis — the way Torquato & Fernandes run fully pipelined concurrent
+populations, and the (islands x pop x bits) layout a future GPU/array
+backend needs.  Migration is pure array surgery over the topology's
+precomputed edge arrays (``sources``, ``dests``, and each edge's rank
+among its destination's incoming edges): gather champions, rank members
+worst-first with one stable argsort, scatter, re-evaluate, re-anchor.
 
-Migration is a pure array operation.  A :class:`MigrationTopology` holds
-the archipelago wiring as precomputed edge arrays (``sources``, ``dests``,
-and each edge's rank among its destination's incoming edges), so an epoch
-boundary is: gather every island's champion, rank each destination's
-members worst-first with one stable argsort, scatter the migrants over the
-``rank``-th worst slots, re-evaluate the touched cells, and re-anchor the
-best-tracking registers — no per-island Python loops.
-
-Exactness contract: for any ``(params, seed, topology)`` the exact-mode
-:class:`VectorIslandGA` is bit-identical to the legacy epoch loop — the
-differential suite in ``tests/parallel/test_archipelago.py`` locks the
-two together.  Turbo
-mode carries the engine's usual turbo contract: same operator
-distributions, different word allocation, deterministic per (params,
-seed, topology) and independent of step chunking.
+:meth:`VectorIslandGA.run_epoch_loop` is the reference: one fresh batched
+engine per epoch and a per-edge migration loop over carried lists.  Both
+loops share one epoch driver (schedule, spans, champion race, result).
+In exact mode the two are bit-identical for any ``(params, seed,
+topology)`` (``tests/parallel/test_archipelago.py``); turbo mode is
+deterministic per (params, seed, topology) and independent of step
+chunking.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,20 +165,43 @@ def build_topology(spec: str, n_islands: int, seed: int) -> MigrationTopology:
 
 def island_seeds(params: GAParameters, n_islands: int) -> list[int]:
     """Decorrelated per-island offsets of the programmed seed (the
-    programmable-seed feature, once per core) — shared with the legacy
-    loop so both paths seed identically."""
+    programmable-seed feature, once per core) — shared by both loops so
+    they seed identically."""
     return [
         ((params.rng_seed + 0x9E37 * i) & 0xFFFF) or 1 for i in range(n_islands)
     ]
 
 
-class VectorIslandGA:
-    """Island model executed as one resumable batched slab.
+@dataclass
+class IslandResult:
+    """Outcome of an island-model run.
 
-    Bit-identical to the legacy :class:`~repro.parallel.islands.IslandGA`
-    epoch loop in exact mode (``IslandGA.run`` delegates here); turbo mode
-    runs the same archipelago on the vectorised generation kernel.
-    ``record_champions`` gates the O(epochs x islands)
+    ``epoch_champions[e][i]`` is island ``i``'s ``(individual, fitness)``
+    champion at the end of epoch ``e`` — the full migration-candidate
+    history, not just the final survivor — which is what migration-policy
+    analysis needs; it is O(epochs x islands) and sits behind the
+    ``record_champions`` flag so thousand-island runs can drop it.
+    ``epoch_summary[e]`` is the O(epochs) digest that always stays on:
+    ``(best_fitness, best_individual, champion_fitness_sum)`` at the end
+    of epoch ``e`` (the rows a service job's history is built from).
+    """
+
+    best_individual: int
+    best_fitness: int
+    island_bests: list[int]
+    migrations: int
+    evaluations: int
+    best_per_epoch: list[int]
+    epoch_champions: list[list[tuple[int, int]]] = field(default_factory=list)
+    epoch_summary: list[tuple[int, int, int]] = field(default_factory=list)
+
+
+class VectorIslandGA:
+    """Programmable-topology island model over behavioural GA engines.
+
+    :meth:`run` executes it as one resumable batched slab;
+    :meth:`run_epoch_loop` is the per-epoch reference it is bit-identical
+    to in exact mode.  ``record_champions`` gates the O(epochs x islands)
     ``epoch_champions`` tuple history — leave it off for thousand-island
     runs.
     """
@@ -205,6 +227,7 @@ class VectorIslandGA:
             self.topology = topology
         else:
             validate_island_params(n_islands, migration_interval, topology)
+            #: archipelago wiring, seed-deterministic for ``"random[:k]"``
             self.topology = build_topology(topology, n_islands, params.rng_seed)
         if engine_mode not in ("exact", "turbo"):
             raise ValueError(
@@ -220,14 +243,22 @@ class VectorIslandGA:
         self.n_islands = n_islands
         self.migration_interval = migration_interval
         self.record_champions = record_champions
+        #: optional :class:`~repro.obs.tracer.Tracer`: one ``ga.run`` span,
+        #: an ``island.epoch`` span per epoch (nesting the batched engine's
+        #: per-generation events) and an ``island.migration`` event per
+        #: boundary.  Results are identical with tracing on or off.
         self.tracer = tracer
+        #: ``"exact"`` or ``"turbo"``; turbo islands agree between the two
+        #: loops because the turbo engine's word consumption is
+        #: composition-independent (solo == batch row, per stream)
         self.engine_mode = engine_mode
         self.seeds = island_seeds(params, n_islands)
 
     # ------------------------------------------------------------------
     def epoch_schedule(self) -> list[int]:
-        """Generations per epoch (same contract as the legacy loop): full
-        ``migration_interval`` epochs plus a final partial remainder."""
+        """Generations per epoch: full ``migration_interval`` epochs plus a
+        final partial epoch for the remainder, summing to exactly
+        ``n_generations``."""
         full, remainder = divmod(
             self.params.n_generations, self.migration_interval
         )
@@ -236,53 +267,31 @@ class VectorIslandGA:
             schedule.append(remainder)
         return schedule
 
-    def _migrate(self, batch: BatchBehavioralGA, champ_ind: np.ndarray) -> None:
-        """One migration boundary as three array operations: rank members
-        worst-first, scatter champions over the topology, re-anchor."""
-        topo = self.topology
-        order = batch.worst_member_order()
-        cols = order[topo.dests, topo.rank]
-        batch.replace_members(topo.dests, cols, champ_ind[topo.sources])
-        # a freshly arrived migrant can be an island's champion — restart
-        # the champion race from the migrated populations, exactly like
-        # the legacy loop's fresh engine per epoch
-        batch.reanchor_best()
+    def _run_epochs(self, evolve, migrate, vectorized: bool) -> IslandResult:
+        """The epoch driver both loops share.
 
-    def run(self):
-        """Run every epoch on one carried slab; returns an
-        :class:`~repro.parallel.islands.IslandResult`."""
-        from contextlib import nullcontext
-
-        from repro.parallel.islands import IslandResult
-
+        ``evolve(epoch, gens)`` advances every island one epoch inside its
+        ``island.epoch`` span and returns the epoch's ``(individuals,
+        fitnesses)`` champion arrays; ``migrate(individuals)`` sends them
+        over the topology.  The driver owns the schedule, the spans and
+        migration events, the per-island strict-improvement champion race
+        and the result; the caller fills in ``evaluations``.
+        """
         schedule = self.epoch_schedule()
         topo = self.topology
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled
-        params_list = [
-            self.params.with_(rng_seed=seed) for seed in self.seeds
-        ]
-        batch = BatchBehavioralGA(
-            params_list,
-            self.fitness,
-            record_members=False,
-            tracer=tracer,
-            mode=self.engine_mode,
-            record_history=False,
-        )
         island_fit = np.full(self.n_islands, -1, dtype=np.int64)
         island_ind = np.zeros(self.n_islands, dtype=np.int64)
         migrations = 0
-        best_per_epoch: list[int] = []
         epoch_summary: list[tuple[int, int, int]] = []
         epoch_champions: list[list[tuple[int, int]]] = []
 
-        started = time.perf_counter()
         run_scope = (
             tracer.span(
                 "ga.run",
                 engine="island",
-                vectorized=True,
+                vectorized=vectorized,
                 fitness=self.fitness.name,
                 islands=self.n_islands,
                 migration_interval=self.migration_interval,
@@ -300,17 +309,14 @@ class VectorIslandGA:
                     else nullcontext()
                 )
                 with epoch_scope:
-                    if epoch == 0:
-                        # inside the first epoch span so the generation-0
-                        # trace event nests like the legacy loop's
-                        batch.begin()
-                    batch.step(epoch_gens)
-                    champ_ind, champ_fit = batch.champions()
+                    champ_ind, champ_fit = evolve(epoch, epoch_gens)
                     improved = champ_fit > island_fit
                     island_fit = np.where(improved, champ_fit, island_fit)
                     island_ind = np.where(improved, champ_ind, island_ind)
                     if epoch < len(schedule) - 1 and topo.n_edges:
-                        self._migrate(batch, champ_ind)
+                        # no migration after the final epoch: the migrants
+                        # would never evolve and would inflate the count
+                        migrate(champ_ind)
                         migrations += topo.n_edges
                         if tracing:
                             tracer.event(
@@ -327,7 +333,6 @@ class VectorIslandGA:
                                 ),
                             )
                     best = int(island_fit.argmax())
-                    best_per_epoch.append(int(island_fit[best]))
                     epoch_summary.append(
                         (
                             int(island_fit[best]),
@@ -341,14 +346,6 @@ class VectorIslandGA:
                                 zip(champ_ind.tolist(), champ_fit.tolist())
                             )
                         )
-        batch.finalize()
-        record_archipelago_run(
-            self.n_islands,
-            self.params.n_generations,
-            len(schedule),
-            migrations,
-            time.perf_counter() - started,
-        )
 
         overall = int(island_fit.argmax())
         return IslandResult(
@@ -356,8 +353,116 @@ class VectorIslandGA:
             best_fitness=int(island_fit[overall]),
             island_bests=island_fit.tolist(),
             migrations=migrations,
-            evaluations=int(batch.evaluations.sum()),
-            best_per_epoch=best_per_epoch,
+            evaluations=0,
+            best_per_epoch=[fit for fit, _ind, _sum in epoch_summary],
             epoch_champions=epoch_champions,
             epoch_summary=epoch_summary,
         )
+
+    def run(self) -> IslandResult:
+        """Run every epoch on one carried slab."""
+        topo = self.topology
+        batch = BatchBehavioralGA(
+            [self.params.with_(rng_seed=seed) for seed in self.seeds],
+            self.fitness,
+            record_members=False,
+            tracer=self.tracer,
+            mode=self.engine_mode,
+            record_history=False,
+        )
+
+        def evolve(epoch, gens):
+            if epoch == 0:
+                # inside the first epoch span so the generation-0 trace
+                # event nests like the reference loop's
+                batch.begin()
+            batch.step(gens)
+            return batch.champions()
+
+        def migrate(champ_ind):
+            # rank members worst-first, scatter champions over the
+            # topology, then restart the champion race from the migrated
+            # populations (a freshly arrived migrant can be an island's
+            # champion), exactly like the reference's fresh engine per epoch
+            order = batch.worst_member_order()
+            cols = order[topo.dests, topo.rank]
+            batch.replace_members(topo.dests, cols, champ_ind[topo.sources])
+            batch.reanchor_best()
+
+        started = time.perf_counter()
+        result = self._run_epochs(evolve, migrate, vectorized=True)
+        batch.finalize()
+        result.evaluations = int(batch.evaluations.sum())
+        record_archipelago_run(
+            self.n_islands,
+            self.params.n_generations,
+            len(result.best_per_epoch),
+            result.migrations,
+            time.perf_counter() - started,
+        )
+        return result
+
+    def run_epoch_loop(self) -> IslandResult:
+        """The reference epoch loop: one fresh batched engine per epoch.
+
+        The vectorized :meth:`run` is property-tested against it (and
+        ``benchmarks/bench_archipelago.py`` measures its speedup over it).
+        """
+        topo = self.topology
+        states = list(self.seeds)
+        populations: list[list[int]] = []
+        evaluations = 0
+
+        def evolve(epoch, gens):
+            nonlocal evaluations
+            batch = BatchBehavioralGA(
+                [
+                    self.params.with_(n_generations=gens, rng_seed=seed)
+                    for seed in self.seeds
+                ],
+                self.fitness,
+                record_members=False,
+                rng_states=states,
+                tracer=self.tracer,
+                mode=self.engine_mode,
+            )
+            results = batch.run(
+                initial=np.asarray(populations, dtype=np.int64) if epoch else None
+            )
+            states[:] = [int(s) for s in batch.rng_states]
+            populations[:] = [pop.tolist() for pop in batch.final_populations]
+            evaluations += sum(r.evaluations for r in results)
+            return (
+                np.array([r.best_individual for r in results], dtype=np.int64),
+                np.array([r.best_fitness for r in results], dtype=np.int64),
+            )
+
+        def migrate(champ_ind):
+            # edge ``e`` sends island ``sources[e]``'s champion into
+            # ``dests[e]``, replacing its ``rank[e]``-th worst member; ranks
+            # come from the pre-migration populations (one stable argsort
+            # per destination), operation-for-operation the slab's scatter
+            table = self.fitness.table()
+            pops = {
+                d: np.asarray(populations[d], dtype=np.int64)
+                for d in set(topo.dests.tolist())
+            }
+            orders = {
+                d: np.argsort(table[pop], kind="stable")
+                for d, pop in pops.items()
+            }
+            for e in range(topo.n_edges):
+                dst = int(topo.dests[e])
+                pops[dst][orders[dst][int(topo.rank[e])]] = champ_ind[
+                    int(topo.sources[e])
+                ]
+            for d, pop in pops.items():
+                populations[d] = pop.tolist()
+
+        result = self._run_epochs(evolve, migrate, vectorized=False)
+        result.evaluations = evaluations
+        return result
+
+
+#: the island model's public name; one class serves both loops
+IslandGA = VectorIslandGA

@@ -141,17 +141,15 @@ class Scheduler:
         #: sum of pending jobs' remaining generations — the backlog-time
         #: estimator's numerator, maintained incrementally
         self._pending_gens = 0
-        #: slab_id -> {"slab", "chunk", "token", "at", "deadline",
-        #: "pool_gen"} for every chunk currently at the pool
+        #: slab_id -> {"slab", "chunk", "token", "deadline", "pool_gen"}
+        #: for every chunk currently at the pool; a callback whose token
+        #: no longer matches its entry is stale and is discarded
         self._inflight: dict[int, dict] = {}
         #: (ready_at, slab) pairs waiting out a retry backoff (or a resume)
         self._parked: list[tuple[float, Slab]] = []
         #: thread-mode hung chunks: their worker thread is still occupied,
         #: so each zombie token subtracts a slot until its callback lands
         self._zombies: set[int] = set()
-        #: process-mode tokens whose pool was respawned; their eventual
-        #: callbacks are stale and must be discarded
-        self._dead_tokens: set[int] = set()
         self._tokens = itertools.count()
         self._seq = itertools.count()
         self._closing = False
@@ -353,6 +351,7 @@ class Scheduler:
             self._pending.clear()
             self._pending_count = 0
             self._pending_gens = 0
+            self.metrics.queue_drained_to(0)
             self._parked = []
             self._inflight.clear()
             self._cond.notify_all()
@@ -537,7 +536,6 @@ class Scheduler:
             "slab": slab,
             "chunk": chunk,
             "token": token,
-            "at": now,
             "deadline": deadline,
             "pool_gen": self.pool.generation,
         }
@@ -565,7 +563,6 @@ class Scheduler:
                 # eventual callback is discarded by token
                 if self.pool.respawn(entry["pool_gen"]):
                     self.metrics.pool_respawned()
-                self._dead_tokens.add(entry["token"])
             else:
                 # a thread cannot be killed: it keeps occupying a worker
                 # slot until it returns, so account it as a zombie
@@ -639,7 +636,6 @@ class Scheduler:
                 # stale: a zombie finally returned, or a respawned pool's
                 # broken future landed after the watchdog already retried
                 self._zombies.discard(token)
-                self._dead_tokens.discard(token)
                 self._cond.notify_all()
                 return
             del self._inflight[slab_id]

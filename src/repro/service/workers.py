@@ -219,8 +219,8 @@ def _run_hardened(request: GARequest, tracer=None):
 def _run_island(request: GARequest, tracer=None):
     """One archipelago job: the whole archipelago *is* one
     :class:`~repro.parallel.archipelago.VectorIslandGA` slab (replica
-    axis = island), bit-identical to a local ``IslandGA(...).run()`` of
-    the same request (same engine, seeds and topology wiring)."""
+    axis = island), bit-identical to a local ``VectorIslandGA(...).run()``
+    of the same request (same engine, seeds and topology wiring)."""
     from repro.parallel.archipelago import VectorIslandGA
 
     result = VectorIslandGA(

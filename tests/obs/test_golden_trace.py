@@ -15,7 +15,7 @@ from repro.core.system import GASystem
 from repro.fitness.functions import by_name
 from repro.obs import Tracer, events, get_registry, spans
 from repro.obs.analyze import best_series, phase_breakdown, sum_series
-from repro.parallel.islands import IslandGA
+from repro.parallel import IslandGA
 from repro.resilience import PROTECTION_PRESETS, ResilienceHarness, UpsetRates
 
 PARAMS = GAParameters(
@@ -175,6 +175,32 @@ def test_island_bit_identity_and_epoch_spans():
     # the batched engine's generation events nest inside each epoch span
     gen_parents = {e["parent"] for e in events(tracer.records, "ga.generation")}
     assert gen_parents == {e["id"] for e in epochs}
+
+    # the per-epoch reference loop traces through the same epoch driver
+    ref_tracer = Tracer()
+    reference = IslandGA(
+        PARAMS, FN, n_islands=4, migration_interval=8, tracer=ref_tracer
+    ).run_epoch_loop()
+    assert reference == traced
+    ref_epochs = spans(ref_tracer.records, "island.epoch")
+    assert [e["epoch"] for e in ref_epochs] == [e["epoch"] for e in epochs]
+    (ref_run,) = spans(ref_tracer.records, "ga.run")
+    assert ref_run["engine"] == "island"
+    assert all(e["parent"] == ref_run["id"] for e in ref_epochs)
+
+    def payloads(migration_events):
+        return [
+            (e["epoch"], e["migrants"], e["champions"])
+            for e in migration_events
+        ]
+
+    assert payloads(events(ref_tracer.records, "island.migration")) == (
+        payloads(migrations)
+    )
+    ref_gen_parents = {
+        e["parent"] for e in events(ref_tracer.records, "ga.generation")
+    }
+    assert ref_gen_parents == {e["id"] for e in ref_epochs}
 
 
 # -- resilience recovery events -------------------------------------------

@@ -233,6 +233,8 @@ class TestShutdownTimeout:
         for handle in (inflight, queued):
             with pytest.raises(ShutdownTimeoutError, match="abandoned"):
                 handle.result(timeout=1)
+        # the abandoned backlog leaves no stale queue gauge behind
+        assert scheduler.metrics.snapshot()["queue"]["depth"] == 0
         pool.shutdown(wait=False)
 
     def test_timeout_that_completes_in_time_is_clean(self):
