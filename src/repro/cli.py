@@ -631,6 +631,16 @@ COMMANDS = {
 }
 
 
+def _add_ga_args(p: argparse.ArgumentParser, pop: int = 64, seed: str = "0x061F") -> None:
+    """The GA flags shared by run, trace, stats, campaign and submit."""
+    p.add_argument("--fitness", default="mBF6_2")
+    p.add_argument("--pop", type=int, default=pop)
+    p.add_argument("--gens", type=int, default=64)
+    p.add_argument("--xover", type=int, default=10)
+    p.add_argument("--mut", type=int, default=1)
+    p.add_argument("--seed", default=seed)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Regenerate the paper's tables and figures."
@@ -639,12 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         if name == "run":
-            p.add_argument("--fitness", default="mBF6_2")
-            p.add_argument("--pop", type=int, default=64)
-            p.add_argument("--gens", type=int, default=64)
-            p.add_argument("--xover", type=int, default=10)
-            p.add_argument("--mut", type=int, default=1)
-            p.add_argument("--seed", default="0x061F")
+            _add_ga_args(p)
             p.add_argument("--cycle-accurate", action="store_true")
             p.add_argument("--islands", type=int, default=1,
                            help="archipelago size; >1 runs the vectorized "
@@ -668,12 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="with --store-dir: skip the cache read, "
                                 "recompute, still write back")
         elif name == "trace":
-            p.add_argument("--fitness", default="mBF6_2")
-            p.add_argument("--pop", type=int, default=64)
-            p.add_argument("--gens", type=int, default=64)
-            p.add_argument("--xover", type=int, default=10)
-            p.add_argument("--mut", type=int, default=1)
-            p.add_argument("--seed", default="0x061F")
+            _add_ga_args(p)
             p.add_argument("--cycle-accurate", action="store_true")
             p.add_argument("--out", default="trace.jsonl",
                            help="JSON-lines trace destination ('-' for stdout)")
@@ -683,19 +683,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--host", default="127.0.0.1")
             p.add_argument("--port", type=int, default=0,
                            help="fetch metrics from a running repro serve")
-            p.add_argument("--fitness", default="mBF6_2")
-            p.add_argument("--pop", type=int, default=64)
-            p.add_argument("--gens", type=int, default=64)
-            p.add_argument("--xover", type=int, default=10)
-            p.add_argument("--mut", type=int, default=1)
-            p.add_argument("--seed", default="0x061F")
+            _add_ga_args(p)
         elif name == "campaign":
-            p.add_argument("--fitness", default="mBF6_2")
-            p.add_argument("--pop", type=int, default=32)
-            p.add_argument("--gens", type=int, default=64)
-            p.add_argument("--xover", type=int, default=10)
-            p.add_argument("--mut", type=int, default=1)
-            p.add_argument("--seed", default="0x2961")
+            _add_ga_args(p, pop=32, seed="0x2961")
             p.add_argument(
                 "--rates",
                 default="0,1e-4,5e-4",
@@ -751,12 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
         elif name == "submit":
             p.add_argument("--host", default="127.0.0.1")
             p.add_argument("--port", type=int, default=7117)
-            p.add_argument("--fitness", default="mBF6_2")
-            p.add_argument("--pop", type=int, default=64)
-            p.add_argument("--gens", type=int, default=64)
-            p.add_argument("--xover", type=int, default=10)
-            p.add_argument("--mut", type=int, default=1)
-            p.add_argument("--seed", default="0x061F")
+            _add_ga_args(p)
             p.add_argument("--priority", type=int, default=0)
             p.add_argument("--deadline-ms", type=float, default=0.0,
                            help="advisory deadline (0 = none)")

@@ -161,6 +161,10 @@ class JobRecord:
             return float("inf")
         return self.submitted_at + self.request.deadline_s
 
+    def expired(self, now: float) -> bool:
+        """An enforce-mode job past its deadline: the scheduler fails it."""
+        return self.request.deadline_mode == "enforce" and now > self.deadline_at
+
     def order_key(self) -> tuple:
         """Pending-queue order: priority, then EDF, then FIFO."""
         return (self.request.priority, self.deadline_at, self.seq)

@@ -24,6 +24,8 @@ import logging
 import os
 from pathlib import Path
 
+from repro.store.runstore import write_json_atomic
+
 log = logging.getLogger("repro.service")
 
 #: format version of one spill file (the per-entry state rides the
@@ -48,10 +50,7 @@ class CheckpointStore:
         """Atomically persist one slab's checkpoint payload."""
         payload = {"spill_version": SPILL_VERSION, **payload}
         path = self._path(slab_id)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp, path)
+        write_json_atomic(path, payload)
         return path
 
     def discard(self, slab_id: int) -> None:

@@ -59,6 +59,14 @@ next chunk boundary; a ``timeout`` that expires with the scheduler
 thread still alive abandons the backlog, failing every remaining handle
 with :class:`~repro.service.jobs.ShutdownTimeoutError` so no client
 blocks forever.
+
+The pending queue has one way in and one way out.  ``submit`` is the only
+enqueue; every removal (dispatch, late admission, cancel, shed,
+queue-deadline expiry, and both shutdown branches) goes through
+``_take_pending`` (the best-ordered jobs of one compat group) or
+``_drop_pending`` (every job matching a predicate), and both end in the
+one accounting step that keeps ``_pending_count`` and the
+``queue_depth`` gauge equal to the number of jobs still queued.
 """
 
 from __future__ import annotations
@@ -106,6 +114,10 @@ RETRYABLE_ERRORS = (
 )
 
 
+def _cancelled_by_shutdown(record: JobRecord) -> JobCancelledError:
+    return JobCancelledError(f"job {record.job_id} cancelled by shutdown")
+
+
 class Scheduler:
     """Continuous-batching job scheduler over a worker pool."""
 
@@ -138,9 +150,6 @@ class Scheduler:
         self._cond = threading.Condition()
         self._pending: dict[tuple, list[JobRecord]] = {}
         self._pending_count = 0
-        #: sum of pending jobs' remaining generations — the backlog-time
-        #: estimator's numerator, maintained incrementally
-        self._pending_gens = 0
         #: slab_id -> {"slab", "chunk", "token", "deadline", "pool_gen"}
         #: for every chunk currently at the pool; a callback whose token
         #: no longer matches its entry is stale and is discarded
@@ -241,7 +250,6 @@ class Scheduler:
             self._register_primary(record)
             self._pending.setdefault(compat_key(record), []).append(record)
             self._pending_count += 1
-            self._pending_gens += record.remaining
             self.metrics.job_submitted(self._pending_count)
             self._cond.notify_all()
             return handle
@@ -291,20 +299,10 @@ class Scheduler:
             self._closing = True
             self._draining = drain
             if not drain:
-                for records in self._pending.values():
-                    for record in records:
-                        self._fail_record(
-                            record,
-                            JobCancelledError(
-                                f"job {record.job_id} cancelled by shutdown"
-                            ),
-                        )
-                self._pending.clear()
-                self._pending_count = 0
-                self._pending_gens = 0
-                self.metrics.queue_drained_to(0)
+                for record in self._drop_pending(lambda r: True):
+                    self._fail_record(record, _cancelled_by_shutdown(record))
                 for _, slab in self._parked:
-                    self._cancel_slab(slab, "cancelled by shutdown")
+                    self._fail_entries(slab, _cancelled_by_shutdown)
                     self._retire_slab(slab)
                 self._parked = []
             self._cond.notify_all()
@@ -318,40 +316,26 @@ class Scheduler:
             "abandoning in-flight work",
             timeout,
         )
+
+        def abandoned(job_id: int) -> ShutdownTimeoutError:
+            return ShutdownTimeoutError(
+                f"job {job_id} abandoned: scheduler did not stop within {timeout}s"
+            )
+
         with self._cond:
             self._abandoned = True
-            leftovers: list[JobRecord] = []
-            for records in self._pending.values():
-                leftovers.extend(records)
-            for entry in self._inflight.values():
-                leftovers.extend(entry["slab"].entries)
-            for _, slab in self._parked:
-                leftovers.extend(slab.entries)
+            leftovers = self._drop_pending(lambda r: True)
+            leftovers += [r for slab in self._live_slabs() for r in slab.entries]
             for record in leftovers:
-                self._fail_record(
-                    record,
-                    ShutdownTimeoutError(
-                        f"job {record.job_id} abandoned: scheduler did not "
-                        f"stop within {timeout}s"
-                    ),
-                )
+                self._fail_record(record, abandoned(record.job_id))
             # safety net: any follower whose primary was not among the
             # leftovers can never be served now
             for handles in self._followers.values():
                 for handle in handles:
-                    handle._fail(
-                        ShutdownTimeoutError(
-                            f"job {handle.job_id} abandoned: scheduler did "
-                            f"not stop within {timeout}s"
-                        )
-                    )
+                    handle._fail(abandoned(handle.job_id))
                     self.metrics.job_failed()
             self._followers.clear()
             self._active_keys.clear()
-            self._pending.clear()
-            self._pending_count = 0
-            self._pending_gens = 0
-            self.metrics.queue_drained_to(0)
             self._parked = []
             self._inflight.clear()
             self._cond.notify_all()
@@ -370,7 +354,8 @@ class Scheduler:
         if self.policy.max_backlog_s is not None and self.metrics.chunks > 0:
             rate = self.metrics.generations_rate()
             if rate > 0:
-                backlog = self._pending_gens / rate
+                gens = sum(r.remaining for rs in self._pending.values() for r in rs)
+                backlog = gens / rate
                 if backlog > self.policy.max_backlog_s:
                     return (
                         f"estimated backlog {backlog:.2f}s > "
@@ -388,17 +373,8 @@ class Scheduler:
 
     def _shed_pending(self, victim: JobRecord, reason: str) -> None:
         """Fail a queued job to make room for a better-ordered arrival."""
-        key = compat_key(victim)
-        records = self._pending[key]
-        records.remove(victim)
-        if not records:
-            del self._pending[key]
-        self._pending_count -= 1
-        self._pending_gens -= victim.remaining
-        self.metrics.queue_drained_to(self._pending_count)
-        self._fail_record(
-            victim, OverloadedError(f"job {victim.job_id} shed: {reason}")
-        )
+        self._drop_pending(lambda r: r is victim)
+        self._fail_record(victim, OverloadedError(f"job {victim.job_id} shed: {reason}"))
         self.metrics.job_shed()
 
     # -- cancellation ---------------------------------------------------
@@ -406,34 +382,56 @@ class Scheduler:
         """Handle-side cancel: drop a pending job now, flag an in-flight
         or parked one for eviction at its next chunk boundary."""
         with self._cond:
-            for key, records in self._pending.items():
-                for record in records:
-                    if record.job_id != job_id:
-                        continue
-                    records.remove(record)
-                    if not records:
-                        del self._pending[key]
-                    self._pending_count -= 1
-                    self._pending_gens -= record.remaining
-                    self.metrics.queue_drained_to(self._pending_count)
-                    self._fail_record(
-                        record, JobCancelledError(f"job {job_id} cancelled")
-                    )
-                    self.metrics.job_cancelled()
-                    self._cond.notify_all()
-                    return True
-            for entry in self._inflight.values():
-                for record in entry["slab"].entries:
-                    if record.job_id == job_id:
-                        record.cancel_requested = True
-                        return True
-            for _, slab in self._parked:
+            for record in self._drop_pending(lambda r: r.job_id == job_id):
+                self._fail_record(record, JobCancelledError(f"job {job_id} cancelled"))
+                self.metrics.job_cancelled()
+                self._cond.notify_all()
+                return True
+            for slab in self._live_slabs():
                 for record in slab.entries:
                     if record.job_id == job_id:
                         record.cancel_requested = True
                         self._cond.notify_all()
                         return True
             return False
+
+    def _live_slabs(self):
+        """Every slab outside the queue: in flight, then parked (lock held)."""
+        for entry in self._inflight.values():
+            yield entry["slab"]
+        for _, slab in self._parked:
+            yield slab
+
+    # -- the pending queue's one way out (lock held) ----------------------
+    def _take_pending(self, key: tuple, n: int) -> list[JobRecord]:
+        """Dequeue the ``n`` best-ordered jobs of one compat group."""
+        records = sorted(self._pending.get(key, ()), key=JobRecord.order_key)
+        taken, rest = records[:n], records[n:]
+        if rest:
+            self._pending[key] = rest
+        else:
+            self._pending.pop(key, None)
+        return self._dequeued(taken)
+
+    def _drop_pending(self, pred) -> list[JobRecord]:
+        """Dequeue every pending job for which ``pred(record)`` holds."""
+        dropped: list[JobRecord] = []
+        for key, records in list(self._pending.items()):
+            keep = []
+            for record in records:
+                (dropped if pred(record) else keep).append(record)
+            if keep:
+                self._pending[key] = keep
+            else:
+                del self._pending[key]
+        return self._dequeued(dropped)
+
+    def _dequeued(self, records: list[JobRecord]) -> list[JobRecord]:
+        """The one accounting step every job leaving the queue passes."""
+        if records:
+            self._pending_count -= len(records)
+            self.metrics.queue_drained_to(self._pending_count)
+        return records
 
     # -- scheduler loop -------------------------------------------------
     def _loop(self) -> None:
@@ -503,14 +501,7 @@ class Scheduler:
             key = min(
                 ready, key=lambda k: min(r.order_key() for r in self._pending[k])
             )
-            records = sorted(self._pending[key], key=JobRecord.order_key)
-            taken = records[: self.policy.max_batch]
-            self._pending[key] = records[len(taken):]
-            if not self._pending[key]:
-                del self._pending[key]
-            self._pending_count -= len(taken)
-            self._pending_gens -= sum(r.remaining for r in taken)
-            self.metrics.queue_drained_to(self._pending_count)
+            taken = self._take_pending(key, self.policy.max_batch)
             self._dispatch(Slab(taken, self.policy))
 
     def _dispatch(self, slab: Slab) -> None:
@@ -584,33 +575,15 @@ class Scheduler:
 
     def _expire_pending(self, now: float) -> None:
         """Fail enforce-mode jobs that blew their deadline while queued."""
-        changed = False
-        for key in list(self._pending):
-            keep = []
-            for record in self._pending[key]:
-                if (
-                    record.request.deadline_mode == "enforce"
-                    and now > record.deadline_at
-                ):
-                    self._pending_count -= 1
-                    self._pending_gens -= record.remaining
-                    self._fail_record(
-                        record,
-                        DeadlineExceededError(
-                            f"job {record.job_id} blew its "
-                            f"{record.request.deadline_s}s deadline in queue"
-                        ),
-                    )
-                    self.metrics.job_deadline_enforced()
-                    changed = True
-                else:
-                    keep.append(record)
-            if keep:
-                self._pending[key] = keep
-            else:
-                del self._pending[key]
-        if changed:
-            self.metrics.queue_drained_to(self._pending_count)
+        for record in self._drop_pending(lambda r: r.expired(now)):
+            self._fail_record(
+                record,
+                DeadlineExceededError(
+                    f"job {record.job_id} blew its "
+                    f"{record.request.deadline_s}s deadline in queue"
+                ),
+            )
+            self.metrics.job_deadline_enforced()
 
     def _unpark(self, now: float) -> None:
         """Re-dispatch parked slabs whose backoff has expired."""
@@ -620,10 +593,7 @@ class Scheduler:
                 still.append((ready_at, slab))
                 continue
             self._evict(slab, now)
-            if slab.entries:
-                self._dispatch(slab)
-            else:
-                self._retire_slab(slab)
+            self._dispatch_or_retire(slab)
         self._parked = still
 
     # -- pool callback --------------------------------------------------
@@ -649,7 +619,10 @@ class Scheduler:
                     self._chunk_failed(slab, out, now)
                 else:
                     # application error: deterministic, retry cannot help
-                    self._fail_slab(slab, out)
+                    self._fail_entries(
+                        slab, lambda r: JobFailedError(f"job {r.job_id} failed: {out!r}")
+                    )
+                    self._retire_slab(slab)
                 self._cond.notify_all()
                 return
             finished = slab.apply_chunk(out, entry["chunk"])
@@ -660,14 +633,19 @@ class Scheduler:
                 self._complete_record(record, record.to_result(now), now)
             self._evict(slab, now)
             if self._closing and not self._draining:
-                self._cancel_slab(slab, "cancelled by shutdown")
+                self._fail_entries(slab, _cancelled_by_shutdown)
             else:
                 self._admit_into(slab)
-            if slab.entries:
-                self._dispatch(slab)
-            else:
-                self._retire_slab(slab)
+            self._dispatch_or_retire(slab)
             self._cond.notify_all()
+
+    def _dispatch_or_retire(self, slab: Slab) -> None:
+        """A slab at a chunk boundary: send its next chunk, or retire it
+        once no job is left (lock held)."""
+        if slab.entries:
+            self._dispatch(slab)
+        else:
+            self._retire_slab(slab)
 
     def _chunk_failed(self, slab: Slab, exc: BaseException, now: float) -> None:
         """Retry accounting for a lost chunk (lock held).
@@ -690,7 +668,7 @@ class Scheduler:
                 survivors.append(record)
         slab.entries = survivors
         if self._closing and not self._draining:
-            self._cancel_slab(slab, "cancelled by shutdown")
+            self._fail_entries(slab, _cancelled_by_shutdown)
         if not slab.entries:
             self._retire_slab(slab)
             return
@@ -709,19 +687,10 @@ class Scheduler:
             exc,
         )
 
-    def _fail_slab(self, slab: Slab, exc: BaseException) -> None:
+    def _fail_entries(self, slab: Slab, error) -> None:
+        """Fail every job left in the slab with ``error(record)``."""
         for record in slab.entries:
-            self._fail_record(
-                record, JobFailedError(f"job {record.job_id} failed: {exc!r}")
-            )
-        slab.entries = []
-        self._retire_slab(slab)
-
-    def _cancel_slab(self, slab: Slab, reason: str) -> None:
-        for record in slab.entries:
-            self._fail_record(
-                record, JobCancelledError(f"job {record.job_id} {reason}")
-            )
+            self._fail_record(record, error(record))
         slab.entries = []
 
     def _evict(self, slab: Slab, now: float) -> None:
@@ -733,10 +702,7 @@ class Scheduler:
                     record, JobCancelledError(f"job {record.job_id} cancelled")
                 )
                 self.metrics.job_cancelled()
-            elif (
-                record.request.deadline_mode == "enforce"
-                and now > record.deadline_at
-            ):
+            elif record.expired(now):
                 self._fail_record(
                     record,
                     DeadlineExceededError(
@@ -855,19 +821,5 @@ class Scheduler:
     def _admit_into(self, slab: Slab) -> None:
         """Continuous batching: pull compatible pending jobs into freed
         replica rows at the chunk boundary (lock held)."""
-        capacity = slab.capacity_left
-        if capacity <= 0:
-            return
-        key = slab.key
-        records = self._pending.get(key)
-        if not records:
-            return
-        records.sort(key=JobRecord.order_key)
-        taken = records[:capacity]
-        self._pending[key] = records[len(taken):]
-        if not self._pending[key]:
-            del self._pending[key]
-        self._pending_count -= len(taken)
-        self._pending_gens -= sum(r.remaining for r in taken)
-        self.metrics.queue_drained_to(self._pending_count)
-        slab.admit(taken)
+        if slab.capacity_left > 0:
+            slab.admit(self._take_pending(slab.key, slab.capacity_left))

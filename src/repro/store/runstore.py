@@ -53,6 +53,16 @@ log = logging.getLogger("repro.store")
 STORE_SCHEMA_VERSION = 1
 
 
+def write_json_atomic(path: Path, payload: dict) -> None:
+    """Write ``payload`` as JSON to ``path`` via a ``.tmp`` sibling and
+    ``os.replace``: readers see the old file or the whole new one, and
+    an interrupted write leaves only a ``.tmp`` file for ``gc()``."""
+    tmp = path.with_suffix(".tmp")
+    with open(tmp, "w") as handle:
+        json.dump(payload, handle)
+    os.replace(tmp, path)
+
+
 @dataclass
 class StoreEntry:
     """One finished run: its request, result, and provenance."""
@@ -121,11 +131,7 @@ class RunStore:
                 **provenance,
             },
         }
-        path = self.path_for(key)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp, path)
+        write_json_atomic(self.path_for(key), payload)
         self._puts.inc()
         return key
 

@@ -335,3 +335,103 @@ class TestMetrics:
             ).result(timeout=30)
         assert result.n_chunks == 1  # hardened jobs never split or batch
         assert set(result.protection_stats) >= {"rollbacks", "corrected"}
+
+
+class TestQueueAccounting:
+    """Every way out of the pending queue keeps ``_pending_count`` and the
+    ``queue.depth`` gauge equal to the number of jobs still queued."""
+
+    @pytest.fixture
+    def make(self):
+        # unstarted schedulers: nothing dispatches behind the test's back
+        pool = WorkerPool(1, "thread")
+        yield lambda **kw: Scheduler(
+            pool, BatchPolicy(max_batch=2, max_wait_s=60.0, max_pending=10, **kw)
+        )
+        pool.shutdown()
+
+    @pytest.fixture
+    def scheduler(self, make):
+        return make()
+
+    @staticmethod
+    def assert_queued(scheduler, n):
+        with scheduler._cond:
+            assert sum(map(len, scheduler._pending.values())) == n
+            assert scheduler._pending_count == n
+        assert scheduler.metrics.snapshot()["queue"]["depth"] == n
+
+    def test_dispatch(self, scheduler, monkeypatch):
+        sealed = []
+        monkeypatch.setattr(scheduler, "_dispatch", sealed.append)
+        for seed in (1, 2, 3):
+            scheduler.submit(request(seed=seed))
+        self.assert_queued(scheduler, 3)
+        with scheduler._cond:
+            scheduler._dispatch_ready(time.monotonic())
+        assert [len(slab) for slab in sealed] == [2]
+        self.assert_queued(scheduler, 1)
+
+    def test_late_admission(self, scheduler):
+        running = request(seed=1)
+        record = JobRecord(
+            job_id=-1, request=running,
+            handle=JobHandle(-1, running, 0.0), submitted_at=0.0, seq=-1,
+        )
+        slab = Slab([record], scheduler.policy)
+        for seed in (2, 3):
+            scheduler.submit(request(seed=seed))
+        with scheduler._cond:
+            scheduler._admit_into(slab)
+        assert len(slab) == 2
+        self.assert_queued(scheduler, 1)
+
+    def test_cancel(self, scheduler):
+        doomed = scheduler.submit(request(seed=1))
+        scheduler.submit(request(seed=2))
+        assert doomed.cancel() is True
+        self.assert_queued(scheduler, 1)
+
+    def test_shed(self, make):
+        scheduler = make(shed_queue_depth=2)
+        scheduler.submit(request(seed=1))
+        victim = scheduler.submit(request(seed=2))
+        scheduler.submit(request(seed=3, priority=-5))
+        with pytest.raises(OverloadedError, match="shed"):
+            victim.result(timeout=1)
+        self.assert_queued(scheduler, 2)
+        with pytest.raises(OverloadedError, match="queue depth"):
+            scheduler.submit(request(seed=4))
+        self.assert_queued(scheduler, 2)
+
+    def test_enforced_deadline_expiry_in_queue(self, scheduler):
+        doomed = scheduler.submit(
+            request(seed=1, deadline_s=0.5, deadline_mode="enforce")
+        )
+        scheduler.submit(request(seed=2, deadline_s=0.5))  # observe mode
+        with scheduler._cond:
+            scheduler._expire_pending(time.monotonic() + 1.0)
+        with pytest.raises(DeadlineExceededError, match="in queue"):
+            doomed.result(timeout=1)
+        self.assert_queued(scheduler, 1)
+
+    def test_shutdown_without_drain(self, scheduler):
+        handles = [scheduler.submit(request(seed=s)) for s in (1, 2)]
+        scheduler.shutdown(drain=False)
+        for handle in handles:
+            with pytest.raises(JobCancelledError, match="by shutdown"):
+                handle.result(timeout=1)
+        self.assert_queued(scheduler, 0)
+
+    def test_backlog_is_the_queued_generations_over_the_rate(self, make, monkeypatch):
+        scheduler = make(max_backlog_s=0.2)
+        scheduler.metrics.chunk_dispatched(1, 8)  # a rate is now observed
+        monkeypatch.setattr(scheduler.metrics, "generations_rate", lambda: 100.0)
+        scheduler.submit(request(seed=1, gens=19))
+        # 19 queued generations at 100/s: 0.19s, just under the bound
+        scheduler.submit(request(seed=2, gens=2))
+        # 21 queued generations: 0.21s, just over it
+        with pytest.raises(OverloadedError, match=r"backlog 0\.21s > 0\.2s"):
+            scheduler.submit(request(seed=3, gens=1))
+        assert scheduler.metrics.shed == 1
+        self.assert_queued(scheduler, 2)

@@ -29,6 +29,21 @@ class TestParser:
         assert args.pop == 64
         assert args.seed == "0x061F"
 
+    @pytest.mark.parametrize(
+        "name, pop, seed",
+        [
+            ("run", 64, "0x061F"),
+            ("trace", 64, "0x061F"),
+            ("stats", 64, "0x061F"),
+            ("campaign", 32, "0x2961"),
+            ("submit", 64, "0x061F"),
+        ],
+    )
+    def test_ga_flag_defaults(self, name, pop, seed):
+        args = build_parser().parse_args([name])
+        ga = (args.fitness, args.pop, args.gens, args.xover, args.mut, args.seed)
+        assert ga == ("mBF6_2", pop, 64, 10, 1, seed)
+
 
 class TestCommands:
     def test_list(self, capsys):
