@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from repro.fitness.base import FitnessFunction
+from repro.fitness.ehw_targets import PackedFabric, popcount
 
 #: Two-input cell functions selected by the low 2 bits of a cell's nibble.
 CELL_FUNCTIONS: list[Callable[[int, int], int]] = [
@@ -37,6 +38,9 @@ _PAIR_CHOICES: list[list[tuple[int, int]]] = [
     [(4, 5), (4, 2), (5, 3), (0, 4)],  # cell 2
     [(4, 5), (5, 2), (4, 3), (1, 5)],  # cell 3 (output cell)
 ]
+
+#: The same fabric as bit-parallel 16-bit truth-table words.
+_PACKED = PackedFabric(4, _PAIR_CHOICES)
 
 
 class VirtualFabric:
@@ -131,45 +135,13 @@ class FabricFitness(FitnessFunction):
         return 16 * 4095
 
     def _tables_vectorised(self, configs: np.ndarray) -> np.ndarray:
-        """Truth tables for many configurations at once (numpy fast path;
+        """Truth tables for many configurations at once (packed words;
         cross-checked against :meth:`VirtualFabric.truth_table` in tests)."""
-        configs = configs.astype(np.int64)
-        n = len(configs)
-        tables = np.zeros(n, dtype=np.int64)
-        faults = self.fabric.faults
-        for combo in range(16):
-            sources = [
-                np.full(n, (combo >> k) & 1, dtype=np.int64) for k in range(4)
-            ]
-            for cell in range(VirtualFabric.N_CELLS):
-                nibble = (configs >> (4 * cell)) & 0xF
-                fsel = nibble & 0b11
-                psel = (nibble >> 2) & 0b11
-                a = np.zeros(n, dtype=np.int64)
-                b = np.zeros(n, dtype=np.int64)
-                for p, pair in enumerate(_PAIR_CHOICES[cell]):
-                    mask = psel == p
-                    if pair[0] < len(sources):
-                        a[mask] = sources[pair[0]][mask]
-                    if pair[1] < len(sources):
-                        b[mask] = sources[pair[1]][mask]
-                out = np.select(
-                    [fsel == 0, fsel == 1, fsel == 2, fsel == 3],
-                    [a & b, a | b, a ^ b, 1 - (a & b)],
-                )
-                if faults[cell] is not None:
-                    out = np.full(n, faults[cell], dtype=np.int64)
-                sources.append(out)
-            tables |= sources[-1] << combo
-        return tables
+        return _PACKED.tables(configs, self.fabric.faults)
 
     def evaluate_array(self, chromosomes: np.ndarray) -> np.ndarray:
         tables = self._tables_vectorised(np.asarray(chromosomes))
-        diff = tables ^ self.target_table
-        # popcount of the 16-bit mismatch word
-        mismatches = np.zeros(len(tables), dtype=np.int64)
-        for k in range(16):
-            mismatches += (diff >> k) & 1
+        mismatches = popcount(tables ^ np.uint64(self.target_table))
         return (16 - mismatches) * 4095
 
     def table(self) -> np.ndarray:

@@ -56,10 +56,11 @@ STORE_SCHEMA_VERSION = 1
 def write_json_atomic(path: Path, payload: dict) -> None:
     """Write ``payload`` as JSON to ``path`` via a ``.tmp`` sibling and
     ``os.replace``: readers see the old file or the whole new one, and
-    an interrupted write leaves only a ``.tmp`` file for ``gc()``."""
+    an interrupted write leaves only a ``.tmp`` file for ``gc()``.
+    ``json.dumps`` runs the C encoder; ``json.dump`` never does."""
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w") as handle:
-        json.dump(payload, handle)
+        handle.write(json.dumps(payload))
     os.replace(tmp, path)
 
 

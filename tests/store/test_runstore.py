@@ -10,6 +10,7 @@ from repro.core.params import GAParameters
 from repro.service.jobs import GARequest
 from repro.store import RunStore, job_key
 from repro.store.replay import execute_request
+from repro.store.runstore import write_json_atomic
 
 
 def make_request(seed=0x061F, gens=16, pop=8):
@@ -114,3 +115,17 @@ def test_checkpoint_store_lives_under_store_root(store):
     ckpt = store.checkpoint_store()
     ckpt.save(3, {"version": 1, "entries": []})
     assert list((store.root / "spill").glob("slab-*.json"))
+
+
+def test_written_bytes_are_json_dumps_of_the_payload(store, tmp_path):
+    payload = {"key": "abc", "values": [1, 2.5, None], "nested": {"ok": True}}
+    path = tmp_path / "entry.json"
+    write_json_atomic(path, payload)
+    assert path.read_text() == json.dumps(payload)
+    assert not list(tmp_path.glob("*.tmp"))
+
+    request = make_request()
+    key = store.put(request, execute_request(request))
+    text = store.path_for(key).read_text()
+    assert text == json.dumps(json.loads(text))
+    assert not list(store.objects.glob("*.tmp"))
